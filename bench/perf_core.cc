@@ -275,11 +275,11 @@ BENCHMARK(BM_CoreScanR2Batched);
 // Pattern-partitioned SIMD slab scan: one EstimateMany pass over the
 // weighted r = 2 max^(L) kernel -- the serving path's hot kernel, whose
 // batched override partitions each 256-row block by sampling pattern and
-// evaluates each bucket branch-free (auto-vectorized under PIE_SIMD; the
-// same call runs the portable scalar fallback when PIE_SIMD is OFF, so
-// the benchmark name reports whichever path the build selected). CI's
-// bench-smoke job extracts simd_keys_per_s and simd_speedup (vs
-// BM_CoreScanR2Scalar) into BENCH_core.json, and fails if this direct
+// evaluates each bucket branch-free (the same block loop in every build;
+// PIE_SIMD only adds the AVX2 and vectorizer flags, so this measures the
+// auto-vectorized loop when on and its baseline-ISA compilation when
+// off). CI's bench-smoke job extracts simd_keys_per_s and simd_speedup
+// (vs BM_CoreScanR2Scalar) into BENCH_core.json, and fails if this direct
 // slab rate ever drops below the fused with-variance rate from
 // perf_accuracy -- the estimate-only pass must stay strictly cheaper.
 // ---------------------------------------------------------------------------

@@ -39,17 +39,6 @@ double ObliviousHtEstimate(const ObliviousOutcome& outcome,
   return f(outcome.value) / prob;
 }
 
-double ObliviousHtEstimateRow(const double* p, const uint8_t* sampled,
-                              const double* value, int r,
-                              const VectorFunction& f,
-                              std::vector<double>* scratch) {
-  double fv, prob;
-  if (!ObliviousHtAllSampled(p, sampled, value, r, f, scratch, &fv, &prob)) {
-    return 0.0;
-  }
-  return fv / prob;
-}
-
 double ObliviousHtSecondMomentRow(const double* p, const uint8_t* sampled,
                                   const double* value, int r,
                                   const VectorFunction& f,

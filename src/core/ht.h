@@ -24,14 +24,6 @@ using VectorFunction = std::function<double(const std::vector<double>&)>;
 double ObliviousHtEstimate(const ObliviousOutcome& outcome,
                            const VectorFunction& f);
 
-/// Row variant over length-r arrays: f is applied to `scratch`, refilled
-/// from the row (batched loops keep one buffer across keys). Produces the
-/// same arithmetic as the scalar form above.
-double ObliviousHtEstimateRow(const double* p, const uint8_t* sampled,
-                              const double* value, int r,
-                              const VectorFunction& f,
-                              std::vector<double>* scratch);
-
 /// Closed-form variance f(v)^2 (1/prod(p) - 1) of the all-sampled HT
 /// estimator (equation (10) in the paper).
 double ObliviousHtVariance(const std::vector<double>& values,
@@ -49,11 +41,12 @@ double ObliviousHtSecondMomentRow(const double* p, const uint8_t* sampled,
                                   const VectorFunction& f,
                                   std::vector<double>* scratch);
 
-/// Fused form of the two rows above: one all-sampled check and one f(v)
-/// evaluation produce both the estimate (fv/prob) and the second moment
-/// (fv^2/prob). Bitwise identical to calling the two row forms separately
-/// -- the same shared core fills fv and prob -- at half the work, for the
-/// accuracy layer's single-pass estimate+variance scans.
+/// Fused row form over length-r arrays (f is applied to `scratch`, refilled
+/// from the row, so batched loops keep one buffer across keys): one
+/// all-sampled check and one f(v) evaluation produce both the estimate
+/// (fv/prob, the arithmetic of ObliviousHtEstimate) and the second moment
+/// (fv^2/prob; the same shared core as ObliviousHtSecondMomentRow fills fv
+/// and prob), for the batched block loops.
 void ObliviousHtEstimateWithSecondMomentRow(const double* p,
                                             const uint8_t* sampled,
                                             const double* value, int r,

@@ -46,20 +46,6 @@ double MinHtWeighted::SecondMomentRow(const uint8_t* sampled,
   return mn * mn / prob;
 }
 
-void MinHtWeighted::EstimateWithSecondMomentRow(const uint8_t* sampled,
-                                                const double* value,
-                                                double* est_out,
-                                                double* second_out) const {
-  double mn, prob;
-  if (!AllSampledMin(sampled, value, &mn, &prob)) {
-    *est_out = 0.0;
-    *second_out = 0.0;
-    return;
-  }
-  *est_out = mn / prob;
-  *second_out = mn * mn / prob;
-}
-
 double MinHtWeighted::MaxMinProductRow(const uint8_t* sampled,
                                        const double* value) const {
   double mn, prob;

@@ -35,14 +35,6 @@ class MinHtWeighted {
   /// layer's per-key variance estimates (src/accuracy/).
   double SecondMomentRow(const uint8_t* sampled, const double* value) const;
 
-  /// Fused EstimateRow + SecondMomentRow: one all-sampled pass fills both
-  /// min/p and min^2/p. Bitwise identical to the two separate calls (the
-  /// shared AllSampledMin core produces the same min and p) at half the
-  /// work -- the single-pass estimate+variance slab loops drive this.
-  void EstimateWithSecondMomentRow(const uint8_t* sampled,
-                                   const double* value, double* est_out,
-                                   double* second_out) const;
-
   /// Unbiased estimate of max(v) * min(v): on the all-sampled event the
   /// whole vector is known, so max * min / p (with p the all-sampled
   /// probability, computable from the sampled values alone) is unbiased;

@@ -68,26 +68,6 @@ class OrWeightedUniform {
   /// OR^(HT): positive only when every entry is mapped-sampled.
   double EstimateHt(const PpsOutcome& outcome) const;
 
-  /// Row variants: map into caller scratch (length r each), then estimate.
-  /// Batched loops keep the scratch across keys, so mapping allocates
-  /// nothing.
-  double EstimateLRow(const double* tau, const double* seed,
-                      const uint8_t* sampled, const double* value,
-                      double* p_scratch, uint8_t* sampled_scratch,
-                      double* value_scratch) const {
-    MapBinaryPpsRowToOblivious(tau, seed, sampled, value, r(), p_scratch,
-                               sampled_scratch, value_scratch);
-    return or_l_.EstimateRow(sampled_scratch, value_scratch);
-  }
-  double EstimateHtRow(const double* tau, const double* seed,
-                       const uint8_t* sampled, const double* value,
-                       double* p_scratch, uint8_t* sampled_scratch,
-                       double* value_scratch) const {
-    MapBinaryPpsRowToOblivious(tau, seed, sampled, value, r(), p_scratch,
-                               sampled_scratch, value_scratch);
-    return OrHtEstimateRow(p_scratch, sampled_scratch, value_scratch, r());
-  }
-
   double p() const { return or_l_.p(); }
   int r() const { return or_l_.r(); }
 
@@ -109,33 +89,6 @@ class OrWeightedTwo {
   double EstimateL(const PpsOutcome& outcome) const;
   /// OR^(U) through the outcome mapping.
   double EstimateU(const PpsOutcome& outcome) const;
-
-  /// Row variants over length-2 arrays (mapping into stack scratch);
-  /// shared arithmetic with the scalar forms above.
-  double EstimateHtRow(const double* tau, const double* seed,
-                       const uint8_t* sampled, const double* value) const {
-    double p[2];
-    uint8_t s[2];
-    double v[2];
-    MapBinaryPpsRowToOblivious(tau, seed, sampled, value, 2, p, s, v);
-    return OrHtEstimateRow(p, s, v, 2);
-  }
-  double EstimateLRow(const double* tau, const double* seed,
-                      const uint8_t* sampled, const double* value) const {
-    double p[2];
-    uint8_t s[2];
-    double v[2];
-    MapBinaryPpsRowToOblivious(tau, seed, sampled, value, 2, p, s, v);
-    return or_l_.EstimateRow(s, v);
-  }
-  double EstimateURow(const double* tau, const double* seed,
-                      const uint8_t* sampled, const double* value) const {
-    double p[2];
-    uint8_t s[2];
-    double v[2];
-    MapBinaryPpsRowToOblivious(tau, seed, sampled, value, 2, p, s, v);
-    return or_u_.EstimateRow(s, v);
-  }
 
   double p1() const { return p1_; }
   double p2() const { return p2_; }

@@ -187,7 +187,7 @@ struct BatchView {
 void ExtractRow(const BatchView& batch, int i, Outcome* out);
 
 /// Aborts unless the view's layout matches what a kernel was constructed
-/// for; kernel EstimateMany overrides call this once per batch in place of
+/// for; the registry's block driver calls this once per batch in place of
 /// the per-outcome scheme/width checks of the scalar path.
 void CheckBatchLayout(const BatchView& batch, Scheme scheme, int r);
 

@@ -1,5 +1,5 @@
 // Sampling-pattern partitioning of batch blocks: the scratch permutation
-// under the branch-free SIMD kernel paths (PIE_SIMD).
+// under the branch-free kernel block loops (engine/registry.cc).
 //
 // The paper's estimators are closed forms chosen by the row's sampling
 // PATTERN -- which of the r entries were sampled -- and the fused slab
@@ -18,7 +18,7 @@
 //
 // Stability matters only for cache-friendliness (buckets walk the block in
 // row order); correctness never depends on it, because results land in
-// per-row output slots. Bitwise equality with the scalar fallback is
+// per-row output slots. Bitwise equality with the scalar estimators is
 // enforced registry-wide by tests/simd_partition_test.cc and
 // tests/parallel_scan_test.cc: the bucket loops replicate the scalar
 // path's floating-point expression trees exactly (hoisting only
@@ -30,12 +30,7 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "engine/simd_dispatch.h"
 #include "obs/metrics.h"
-
-#ifdef PIE_SIMD_AVX512
-#include "engine/simd_avx512.h"
-#endif
 
 namespace pie {
 
@@ -158,57 +153,24 @@ inline void PartitionAnySampled(const uint8_t* sampled, int r, int n,
 }
 
 /// Gathers column `col` of the row-major slab (r doubles per row) for the
-/// `n` rows in `idx` into the dense array `out`. Under the AVX-512 tier
-/// the index-indirect loads run as native vgatherdpd (8 rows per step);
-/// either way the doubles are moved untouched, so the tier cannot change a
-/// bit. The n >= 8 floor skips the out-of-line call for tiny buckets.
+/// `n` rows in `idx` into the dense array `out`.
 inline void GatherColumn(const double* slab, int r, int col,
                          const uint16_t* idx, int n, double* out) {
-#ifdef PIE_SIMD_AVX512
-  if (n >= 8 && UseAvx512Tier()) {
-    avx512::GatherColumn(slab, r, col, idx, n, out);
-    return;
-  }
-#endif
   for (int k = 0; k < n; ++k) {
     out[k] = slab[static_cast<size_t>(idx[k]) * static_cast<size_t>(r) + col];
   }
 }
 
-/// Scatters the dense values `in` back to the row-indexed slots of `out`
-/// (native vscatterdpd under the AVX-512 tier; bucket indices are
-/// distinct, so scatter-ordering semantics never matter).
+/// Scatters the dense values `in` back to the row-indexed slots of `out`.
 inline void Scatter(const double* in, const uint16_t* idx, int n,
                     double* out) {
-#ifdef PIE_SIMD_AVX512
-  if (n >= 8 && UseAvx512Tier()) {
-    avx512::Scatter(in, idx, n, out);
-    return;
-  }
-#endif
   for (int k = 0; k < n; ++k) out[idx[k]] = in[k];
 }
 
 /// Writes `v` to every row slot of `out` named by `idx`.
 inline void ScatterConstant(double v, const uint16_t* idx, int n,
                             double* out) {
-#ifdef PIE_SIMD_AVX512
-  if (n >= 8 && UseAvx512Tier()) {
-    avx512::ScatterConstant(v, idx, n, out);
-    return;
-  }
-#endif
   for (int k = 0; k < n; ++k) out[idx[k]] = v;
-}
-
-/// Issues one software prefetch per 64-byte line over [p, p + bytes):
-/// non-temporal-read hint into the low cache levels for slab rows the
-/// gather loops will touch `PrefetchDistanceRows()` rows from now.
-inline void PrefetchBytes(const void* p, size_t bytes) {
-  const char* c = static_cast<const char*>(p);
-  for (size_t off = 0; off < bytes; off += 64) {
-    __builtin_prefetch(c + off, /*rw=*/0, /*locality=*/1);
-  }
 }
 
 }  // namespace pie

@@ -52,21 +52,20 @@ Status RequireBinary(const std::vector<double>& values) {
   return Status::OK();
 }
 
-#ifdef PIE_SIMD
 // ---------------------------------------------------------------------------
-// Pattern-partitioned branch-free block loops (the PIE_SIMD fast paths).
+// Pattern-partitioned branch-free block loops.
 //
 // Batches are processed in blocks of kPartitionBlockRows rows: each block
 // is partitioned into stable index buckets by sampling pattern
 // (engine/pattern_partition.h), every bucket's rows are gathered into
 // dense columns and evaluated by ONE closed form with no data-dependent
-// branches -- so the compiler can auto-vectorize the lane loops (the AVX2
-// and if-conversion flags ride on pie_build_flags; see the PIE_SIMD block
-// in CMakeLists.txt) -- then scattered back to row-indexed outputs. Each
+// branches -- so the compiler can auto-vectorize the lane loops (PIE_SIMD
+// adds the AVX2 and if-conversion flags on pie_build_flags; see
+// CMakeLists.txt) -- then scattered back to row-indexed outputs. Each
 // form hoists only row-invariant coefficients and otherwise replicates
 // the scalar estimator's floating-point expression tree operation for
-// operation; the bitwise contract (batched == scalar, SIMD == fallback,
-// any thread count) is enforced registry-wide by
+// operation; the bitwise contract (batched == scalar, any thread count,
+// either PIE_SIMD setting) is enforced registry-wide by
 // tests/simd_partition_test.cc and tests/parallel_scan_test.cc.
 // ---------------------------------------------------------------------------
 
@@ -77,27 +76,80 @@ Status RequireBinary(const std::vector<double>& values) {
 /// false so both forms yield 1.0.
 inline double Min1(double x) { return x < 1.0 ? x : 1.0; }
 
-/// Software-prefetches the slab rows a block loop will gather
-/// PrefetchDistanceRows() rows ahead of `base` (PIE_PREFETCH_DIST; 0
-/// disables). Scans past ~4 threads are memory-bound -- every key touches
-/// up to 4 slabs -- and the partition indirection defeats some hardware
-/// prefetch, so the block loops hint the next block's value/sampled (and
-/// for PPS kernels seed/param) lines ahead of use. Pure hints: no effect
-/// on results.
-inline void PrefetchSlabsAhead(const BatchView& batch, int base, bool seeds,
-                               bool params) {
-  const int dist = PrefetchDistanceRows();
-  if (dist <= 0) return;
-  const int ahead = base + dist;
-  if (ahead >= batch.size) return;
-  const int n = std::min(kPartitionBlockRows, batch.size - ahead);
-  const size_t lanes =
-      static_cast<size_t>(n) * static_cast<size_t>(batch.r);
-  PrefetchBytes(batch.value_row(ahead), lanes * sizeof(double));
-  PrefetchBytes(batch.sampled_row(ahead), lanes);
-  if (seeds) PrefetchBytes(batch.seed_row(ahead), lanes * sizeof(double));
-  if (params) PrefetchBytes(batch.param_row(ahead), lanes * sizeof(double));
-}
+/// Where a kernel's batched second-moment estimate comes from.
+enum class SecondMoment {
+  kBlock,     ///< Block writes its own unbiased f(v)^2 estimate
+  kEstimate,  ///< binary domain: OR(v)^2 = OR(v), so the point estimate
+              ///< IS the unbiased second-moment estimate
+};
+
+/// The one batched driver of the registry kernels. Derived states its math
+/// once, as a block function over block.size <= kPartitionBlockRows rows:
+///   void Block(BatchView block, double* est, double* second) const;
+/// filling the point estimates into est and the second-moment estimates
+/// into second, either of which may be null (kBlock); or, for binary
+/// kernels (kEstimate),
+///   void Block(BatchView block, double* est) const;
+/// The driver owns the layout check, the block loop, all three batched
+/// overrides, and the fused combine var = est*est - second.
+template <typename Derived, SecondMoment kSecond = SecondMoment::kBlock>
+class BlockKernel : public EstimatorKernel {
+ public:
+  void EstimateMany(BatchView batch, double* out) const final {
+    Drive(batch, out, nullptr, nullptr);
+  }
+  void EstimateSecondMomentMany(BatchView batch, double* out) const final {
+    if constexpr (kBinary) {
+      Drive(batch, out, nullptr, nullptr);
+    } else {
+      Drive(batch, nullptr, out, nullptr);
+    }
+  }
+  void EstimateWithVarianceMany(BatchView batch, double* est,
+                                double* var) const final {
+    Drive(batch, est, kBinary ? nullptr : var, var);
+  }
+  // For binary kernels 0/1 are fixed points of squaring, so this is
+  // bitwise the base squared-outcome bridge.
+  double EstimateSecondMoment(const Outcome& outcome) const override {
+    if constexpr (kBinary) {
+      return this->Estimate(outcome);
+    } else {
+      return EstimatorKernel::EstimateSecondMoment(outcome);
+    }
+  }
+
+ protected:
+  BlockKernel(Scheme scheme, int r) : scheme_(scheme), r_(r) {}
+
+ private:
+  static constexpr bool kBinary = kSecond == SecondMoment::kEstimate;
+
+  /// Runs Block over the batch's blocks; with `var` set, second == var
+  /// (or est, for binary kernels) and each block is combined in place.
+  void Drive(BatchView batch, double* est, double* second,
+             double* var) const {
+    CheckBatchLayout(batch, scheme_, r_);
+    const Derived& self = static_cast<const Derived&>(*this);
+    for (int base = 0; base < batch.size; base += kPartitionBlockRows) {
+      const int n = std::min(kPartitionBlockRows, batch.size - base);
+      const BatchView block = batch.Slice(base, n);
+      double* e = est != nullptr ? est + base : nullptr;
+      if constexpr (kBinary) {
+        self.Block(block, e);
+      } else {
+        self.Block(block, e, second != nullptr ? second + base : nullptr);
+      }
+      if (var == nullptr) continue;
+      double* v = var + base;
+      const double* m2 = kBinary ? e : v;
+      for (int i = 0; i < n; ++i) v[i] = e[i] * e[i] - m2[i];
+    }
+  }
+
+  Scheme scheme_;
+  int r_;
+};
 
 /// Hoisted per-pattern forms of MaxLTwo::EstimateRow (equation (12)).
 struct MaxLTwoForms {
@@ -163,126 +215,53 @@ struct OrLTwoForms {
   }
 };
 
-/// Applies an r=2 form set bucket by bucket over one partitioned block:
-/// rows with neither entry sampled estimate 0.
+/// Applies an r=2 form set bucket by bucket over one partitioned block, to
+/// the sampled values or (`square`) to their squares -- the bucket twin of
+/// SquareSampledRow + EstimateRow. Rows with neither entry sampled
+/// estimate 0.
 template <typename Forms>
 void ApplyR2Forms(const double* value, const R2Partition& part,
-                  const Forms& f, double* out) {
+                  const Forms& f, bool square, double* out) {
   double v0[kPartitionBlockRows];
   double v1[kPartitionBlockRows];
   double e[kPartitionBlockRows];
+  const auto gather = [&](int bucket, int col, double* v) {
+    GatherColumn(value, 2, col, part.idx[bucket], part.count[bucket], v);
+    if (square) {
+      for (int k = 0; k < part.count[bucket]; ++k) v[k] *= v[k];
+    }
+  };
   ScatterConstant(0.0, part.idx[0], part.count[0], out);
-  GatherColumn(value, 2, 0, part.idx[1], part.count[1], v0);
+  gather(1, 0, v0);
   for (int k = 0; k < part.count[1]; ++k) e[k] = f.Only0(v0[k]);
   Scatter(e, part.idx[1], part.count[1], out);
-  GatherColumn(value, 2, 1, part.idx[2], part.count[2], v1);
+  gather(2, 1, v1);
   for (int k = 0; k < part.count[2]; ++k) e[k] = f.Only1(v1[k]);
   Scatter(e, part.idx[2], part.count[2], out);
-  GatherColumn(value, 2, 0, part.idx[3], part.count[3], v0);
-  GatherColumn(value, 2, 1, part.idx[3], part.count[3], v1);
+  gather(3, 0, v0);
+  gather(3, 1, v1);
   for (int k = 0; k < part.count[3]; ++k) e[k] = f.Both(v0[k], v1[k]);
   Scatter(e, part.idx[3], part.count[3], out);
 }
 
-/// Estimate-only blocks for an r=2 oblivious kernel.
+/// Block of an r=2 oblivious kernel: one partition serves the estimate and
+/// the second-moment (squared lanes) passes.
 template <typename Forms>
-void R2EstimateBlocks(BatchView batch, const Forms& f, double* out) {
-  for (int base = 0; base < batch.size; base += kPartitionBlockRows) {
-    PrefetchSlabsAhead(batch, base, /*seeds=*/false, /*params=*/false);
-    const int n = std::min(kPartitionBlockRows, batch.size - base);
-    R2Partition part;
-    PartitionR2(batch.sampled_row(base), n, &part);
-    ApplyR2Forms(batch.value_row(base), part, f, out + base);
-  }
-}
-
-/// Second-moment blocks: the same forms on squared sampled lanes (the
-/// bucket twin of SquareSampledRow + EstimateRow).
-template <typename Forms>
-void R2SecondMomentBlocks(BatchView batch, const Forms& f, double* out) {
-  for (int base = 0; base < batch.size; base += kPartitionBlockRows) {
-    PrefetchSlabsAhead(batch, base, /*seeds=*/false, /*params=*/false);
-    const int n = std::min(kPartitionBlockRows, batch.size - base);
-    R2Partition part;
-    PartitionR2(batch.sampled_row(base), n, &part);
-    const double* value = batch.value_row(base);
-    double* out_block = out + base;
-    double v0[kPartitionBlockRows];
-    double v1[kPartitionBlockRows];
-    double e[kPartitionBlockRows];
-    ScatterConstant(0.0, part.idx[0], part.count[0], out_block);
-    GatherColumn(value, 2, 0, part.idx[1], part.count[1], v0);
-    for (int k = 0; k < part.count[1]; ++k) e[k] = f.Only0(v0[k] * v0[k]);
-    Scatter(e, part.idx[1], part.count[1], out_block);
-    GatherColumn(value, 2, 1, part.idx[2], part.count[2], v1);
-    for (int k = 0; k < part.count[2]; ++k) e[k] = f.Only1(v1[k] * v1[k]);
-    Scatter(e, part.idx[2], part.count[2], out_block);
-    GatherColumn(value, 2, 0, part.idx[3], part.count[3], v0);
-    GatherColumn(value, 2, 1, part.idx[3], part.count[3], v1);
-    for (int k = 0; k < part.count[3]; ++k) {
-      e[k] = f.Both(v0[k] * v0[k], v1[k] * v1[k]);
-    }
-    Scatter(e, part.idx[3], part.count[3], out_block);
-  }
-}
-
-/// Fused estimate + variance blocks: var = e*e - form(squared lanes),
-/// matching the fused scalar combine bit for bit.
-template <typename Forms>
-void R2FusedBlocks(BatchView batch, const Forms& f, double* est,
-                   double* var) {
-  for (int base = 0; base < batch.size; base += kPartitionBlockRows) {
-    PrefetchSlabsAhead(batch, base, /*seeds=*/false, /*params=*/false);
-    const int n = std::min(kPartitionBlockRows, batch.size - base);
-    R2Partition part;
-    PartitionR2(batch.sampled_row(base), n, &part);
-    const double* value = batch.value_row(base);
-    double* est_block = est + base;
-    double* var_block = var + base;
-    double v0[kPartitionBlockRows];
-    double v1[kPartitionBlockRows];
-    double e[kPartitionBlockRows];
-    double w[kPartitionBlockRows];
-    ScatterConstant(0.0, part.idx[0], part.count[0], est_block);
-    ScatterConstant(0.0, part.idx[0], part.count[0], var_block);
-    GatherColumn(value, 2, 0, part.idx[1], part.count[1], v0);
-    for (int k = 0; k < part.count[1]; ++k) {
-      const double ei = f.Only0(v0[k]);
-      const double si = f.Only0(v0[k] * v0[k]);
-      e[k] = ei;
-      w[k] = ei * ei - si;
-    }
-    Scatter(e, part.idx[1], part.count[1], est_block);
-    Scatter(w, part.idx[1], part.count[1], var_block);
-    GatherColumn(value, 2, 1, part.idx[2], part.count[2], v1);
-    for (int k = 0; k < part.count[2]; ++k) {
-      const double ei = f.Only1(v1[k]);
-      const double si = f.Only1(v1[k] * v1[k]);
-      e[k] = ei;
-      w[k] = ei * ei - si;
-    }
-    Scatter(e, part.idx[2], part.count[2], est_block);
-    Scatter(w, part.idx[2], part.count[2], var_block);
-    GatherColumn(value, 2, 0, part.idx[3], part.count[3], v0);
-    GatherColumn(value, 2, 1, part.idx[3], part.count[3], v1);
-    for (int k = 0; k < part.count[3]; ++k) {
-      const double ei = f.Both(v0[k], v1[k]);
-      const double si = f.Both(v0[k] * v0[k], v1[k] * v1[k]);
-      e[k] = ei;
-      w[k] = ei * ei - si;
-    }
-    Scatter(e, part.idx[3], part.count[3], est_block);
-    Scatter(w, part.idx[3], part.count[3], var_block);
-  }
+void R2FormsBlock(BatchView block, const Forms& f, double* est,
+                  double* second) {
+  R2Partition part;
+  PartitionR2(block.sampled, block.size, &part);
+  if (est != nullptr) ApplyR2Forms(block.value, part, f, false, est);
+  if (second != nullptr) ApplyR2Forms(block.value, part, f, true, second);
 }
 
 /// OrUTwo's scalar row form checks that sampled values are binary before
 /// delegating to max^(U); keep the checks (they guard caller bugs) in one
 /// pass ahead of the branch-free bucket loops.
-void CheckR2BinarySampled(BatchView batch) {
-  for (int i = 0; i < batch.size; ++i) {
-    const uint8_t* sampled = batch.sampled_row(i);
-    const double* value = batch.value_row(i);
+void CheckR2BinarySampled(BatchView block) {
+  for (int i = 0; i < block.size; ++i) {
+    const uint8_t* sampled = block.sampled_row(i);
+    const double* value = block.value_row(i);
     for (int j = 0; j < 2; ++j) {
       if (sampled[j]) {
         PIE_CHECK(value[j] == 0.0 || value[j] == 1.0);
@@ -335,25 +314,14 @@ inline void EvalSortedDense(const double* d1, const double* d2, int n,
   uint16_t idx29[kPartitionBlockRows];
   uint16_t idx30[kPartitionBlockRows];
   int n29 = 0, n30 = 0;
-#ifdef PIE_SIMD_AVX512
-  if (UseAvx512Tier()) {
-    // vpcompressq replaces the predicated-increment loop; the masks use
-    // ordered-quiet compares matching the scalar predicates, and compress
-    // preserves lane order, so the index sequences are identical.
-    avx512::CompactLogRegimes(hi_a, lo_a, th_a, tl_a, n, idx29, &n29,
-                              idx30, &n30);
-  } else
-#endif
-  {
-    for (int k = 0; k < n; ++k) {
-      const bool needs_log =
-          !(hi_a[k] <= 0) && !(lo_a[k] >= tl_a[k]) && !(hi_a[k] >= th_a[k]);
-      const bool is29 = hi_a[k] <= tl_a[k];
-      idx29[n29] = static_cast<uint16_t>(k);
-      idx30[n30] = static_cast<uint16_t>(k);
-      n29 += needs_log && is29 ? 1 : 0;
-      n30 += needs_log && !is29 ? 1 : 0;
-    }
+  for (int k = 0; k < n; ++k) {
+    const bool needs_log =
+        !(hi_a[k] <= 0) && !(lo_a[k] >= tl_a[k]) && !(hi_a[k] >= th_a[k]);
+    const bool is29 = hi_a[k] <= tl_a[k];
+    idx29[n29] = static_cast<uint16_t>(k);
+    idx30[n30] = static_cast<uint16_t>(k);
+    n29 += needs_log && is29 ? 1 : 0;
+    n30 += needs_log && !is29 ? 1 : 0;
   }
   {
     // Live counters for ROADMAP open item 1a: the share of serving
@@ -437,150 +405,77 @@ inline void EvalSortedDense(const double* d1, const double* d2, int n,
   }
 }
 
-/// Dense r=2 blocks of MaxHtWeighted (shared by the weighted max kernels'
+/// Dense r=2 block of MaxHtWeighted (shared by the weighted max kernels'
 /// second moments): per bucket, the identified max, its identifiability
 /// flag, and prob = min(1, mx/tau1) min(1, mx/tau2) are branch-free;
 /// non-identified lanes blend to 0. Null output pointers skip a result.
-inline void MaxHtR2Blocks(BatchView batch, double tau1, double tau2,
-                          double* est, double* second) {
-  for (int base = 0; base < batch.size; base += kPartitionBlockRows) {
-    PrefetchSlabsAhead(batch, base, /*seeds=*/true, /*params=*/true);
-    const int n = std::min(kPartitionBlockRows, batch.size - base);
-    R2Partition part;
-    PartitionR2(batch.sampled_row(base), n, &part);
-    const double* value = batch.value_row(base);
-    const double* seed = batch.seed_row(base);
-    const double* tau_row = batch.param_row(base);
-    double v[kPartitionBlockRows];
-    double sd[kPartitionBlockRows];
-    double bt[kPartitionBlockRows];
-    double e[kPartitionBlockRows];
-    double s[kPartitionBlockRows];
-    for (int bucket = 0; bucket < 4; ++bucket) {
-      const uint16_t* idx = part.idx[bucket];
-      const int cnt = part.count[bucket];
-      if (bucket == 0) {
-        if (est != nullptr) ScatterConstant(0.0, idx, cnt, est + base);
-        if (second != nullptr) {
-          ScatterConstant(0.0, idx, cnt, second + base);
-        }
-        continue;
-      }
-      if (bucket == 3) {
-        GatherColumn(value, 2, 0, idx, cnt, v);
-        GatherColumn(value, 2, 1, idx, cnt, sd);  // reuse as v1 lanes
-        for (int k = 0; k < cnt; ++k) {
-          const double mx = std::max(std::max(0.0, v[k]), sd[k]);
-          const bool ok = mx > 0;
-          const double prob =
-              Min1(mx / tau1) * Min1(mx / tau2);
-          e[k] = ok ? mx / prob : 0.0;
-          s[k] = ok ? mx * mx / prob : 0.0;
-        }
-      } else {
-        // Exactly one entry sampled: the other entry's seed bound decides
-        // identifiability (MaxHtWeighted::IdentifiedMax).
-        const int have = bucket == 1 ? 0 : 1;
-        const int miss = 1 - have;
-        GatherColumn(value, 2, have, idx, cnt, v);
-        GatherColumn(seed, 2, miss, idx, cnt, sd);
-        GatherColumn(tau_row, 2, miss, idx, cnt, bt);
-        // ok = mx > 0 && !(bound > mx) split into two single-comparison
-        // blends (v[k] > 0 iff mx > 0 since mx = max(0, v[k])): GCC's
-        // if-converter refuses the fused && form, and each chain picks the
-        // same value the scalar path does.
-        for (int k = 0; k < cnt; ++k) {
-          const double mx = std::max(0.0, v[k]);
-          const double bound = sd[k] * bt[k];
-          const double prob =
-              Min1(mx / tau1) * Min1(mx / tau2);
-          const double e_ok = bound > mx ? 0.0 : mx / prob;
-          const double s_ok = bound > mx ? 0.0 : mx * mx / prob;
-          e[k] = v[k] > 0 ? e_ok : 0.0;
-          s[k] = v[k] > 0 ? s_ok : 0.0;
-        }
-      }
-      if (est != nullptr) Scatter(e, idx, cnt, est + base);
-      if (second != nullptr) Scatter(s, idx, cnt, second + base);
+inline void MaxHtR2Block(BatchView block, double tau1, double tau2,
+                         double* est, double* second) {
+  R2Partition part;
+  PartitionR2(block.sampled, block.size, &part);
+  double v[kPartitionBlockRows];
+  double sd[kPartitionBlockRows];
+  double bt[kPartitionBlockRows];
+  double e[kPartitionBlockRows];
+  double s[kPartitionBlockRows];
+  for (int bucket = 0; bucket < 4; ++bucket) {
+    const uint16_t* idx = part.idx[bucket];
+    const int cnt = part.count[bucket];
+    if (bucket == 0) {
+      if (est != nullptr) ScatterConstant(0.0, idx, cnt, est);
+      if (second != nullptr) ScatterConstant(0.0, idx, cnt, second);
+      continue;
     }
+    if (bucket == 3) {
+      GatherColumn(block.value, 2, 0, idx, cnt, v);
+      GatherColumn(block.value, 2, 1, idx, cnt, sd);  // reuse as v1 lanes
+      for (int k = 0; k < cnt; ++k) {
+        const double mx = std::max(std::max(0.0, v[k]), sd[k]);
+        const bool ok = mx > 0;
+        const double prob = Min1(mx / tau1) * Min1(mx / tau2);
+        e[k] = ok ? mx / prob : 0.0;
+        s[k] = ok ? mx * mx / prob : 0.0;
+      }
+    } else {
+      // Exactly one entry sampled: the other entry's seed bound decides
+      // identifiability (MaxHtWeighted::IdentifiedMax).
+      const int have = bucket == 1 ? 0 : 1;
+      const int miss = 1 - have;
+      GatherColumn(block.value, 2, have, idx, cnt, v);
+      GatherColumn(block.seed, 2, miss, idx, cnt, sd);
+      GatherColumn(block.param, 2, miss, idx, cnt, bt);
+      // ok = mx > 0 && !(bound > mx) split into two single-comparison
+      // blends (v[k] > 0 iff mx > 0 since mx = max(0, v[k])): GCC's
+      // if-converter refuses the fused && form, and each chain picks the
+      // same value the scalar path does.
+      for (int k = 0; k < cnt; ++k) {
+        const double mx = std::max(0.0, v[k]);
+        const double bound = sd[k] * bt[k];
+        const double prob = Min1(mx / tau1) * Min1(mx / tau2);
+        const double e_ok = bound > mx ? 0.0 : mx / prob;
+        const double s_ok = bound > mx ? 0.0 : mx * mx / prob;
+        e[k] = v[k] > 0 ? e_ok : 0.0;
+        s[k] = v[k] > 0 ? s_ok : 0.0;
+      }
+    }
+    if (est != nullptr) Scatter(e, idx, cnt, est);
+    if (second != nullptr) Scatter(s, idx, cnt, second);
   }
 }
-
-/// Dense all-sampled blocks of MinHtWeighted: survivors accumulate the
-/// columnwise min and all-sampled probability in entry order (mirroring
-/// AllSampledMin); everything else estimates 0. Null pointers skip a
-/// result.
-inline void MinHtBlocks(BatchView batch, const std::vector<double>& tau,
-                        double* est, double* second) {
-  const int r = static_cast<int>(tau.size());
-  for (int base = 0; base < batch.size; base += kPartitionBlockRows) {
-    PrefetchSlabsAhead(batch, base, /*seeds=*/false, /*params=*/false);
-    const int n = std::min(kPartitionBlockRows, batch.size - base);
-    AllSampledPartition part;
-    PartitionAllSampled(batch.sampled_row(base), r, n, &part);
-    if (est != nullptr) {
-      ScatterConstant(0.0, part.rest, part.rest_count, est + base);
-    }
-    if (second != nullptr) {
-      ScatterConstant(0.0, part.rest, part.rest_count, second + base);
-    }
-    const double* value = batch.value_row(base);
-    double col[kPartitionBlockRows];
-    double mn[kPartitionBlockRows];
-    double prob[kPartitionBlockRows];
-    for (int j = 0; j < r; ++j) {
-      GatherColumn(value, r, j, part.idx, part.count, col);
-      const double tau_j = tau[static_cast<size_t>(j)];
-      if (j == 0) {
-        for (int k = 0; k < part.count; ++k) {
-          mn[k] = col[k];
-          prob[k] = Min1(col[k] / tau_j);
-        }
-      } else {
-        for (int k = 0; k < part.count; ++k) {
-          mn[k] = std::fmin(mn[k], col[k]);
-          prob[k] *= Min1(col[k] / tau_j);
-        }
-      }
-    }
-    double e[kPartitionBlockRows];
-    double s[kPartitionBlockRows];
-    for (int k = 0; k < part.count; ++k) {
-      e[k] = mn[k] / prob[k];
-      s[k] = mn[k] * mn[k] / prob[k];
-    }
-    if (est != nullptr) Scatter(e, part.idx, part.count, est + base);
-    if (second != nullptr) Scatter(s, part.idx, part.count, second + base);
-  }
-}
-#endif  // PIE_SIMD
 
 /// Horvitz-Thompson over weight-oblivious outcomes for any primitive f.
-class ObliviousHtKernel : public EstimatorKernel {
+class ObliviousHtKernel : public BlockKernel<ObliviousHtKernel> {
  public:
   ObliviousHtKernel(std::string name, VectorFunction f,
                     std::vector<double> p)
-      : name_(std::move(name)), f_(std::move(f)), p_(std::move(p)) {}
+      : BlockKernel(Scheme::kOblivious, static_cast<int>(p.size())),
+        name_(std::move(name)),
+        f_(std::move(f)),
+        p_(std::move(p)) {}
 
   double Estimate(const Outcome& outcome) const override {
     PIE_DCHECK(outcome.scheme == Scheme::kOblivious);
     return ObliviousHtEstimate(outcome.oblivious, f_);
-  }
-  void EstimateMany(BatchView batch, double* out) const override {
-    CheckBatchLayout(batch, Scheme::kOblivious,
-                     static_cast<int>(p_.size()));
-#ifdef PIE_SIMD
-    PartitionedMany(batch, out, nullptr);
-#else
-    std::vector<double> scratch;
-    scratch.reserve(p_.size());
-    for (int i = 0; i < batch.size; ++i) {
-      out[i] = ObliviousHtEstimateRow(batch.param_row(i),
-                                      batch.sampled_row(i),
-                                      batch.value_row(i), batch.r, f_,
-                                      &scratch);
-    }
-#endif
   }
   double EstimateSecondMoment(const Outcome& outcome) const override {
     PIE_DCHECK(outcome.scheme == Scheme::kOblivious);
@@ -590,42 +485,31 @@ class ObliviousHtKernel : public EstimatorKernel {
     return ObliviousHtSecondMomentRow(o.p.data(), o.sampled.data(),
                                       o.value.data(), o.r(), f_, &scratch);
   }
-  void EstimateSecondMomentMany(BatchView batch, double* out) const override {
-    CheckBatchLayout(batch, Scheme::kOblivious,
-                     static_cast<int>(p_.size()));
-#ifdef PIE_SIMD
-    PartitionedMany(batch, nullptr, out);
-#else
+  /// All-sampled partition: non-survivors estimate 0 without touching f_
+  /// (a std::function, so its lane math cannot fuse into a branch-free
+  /// loop -- the win is routing rows that cannot contribute around the
+  /// all-sampled scan and call machinery). Survivors run the fused scalar
+  /// row core, whose estimate/second pair shares one f(v) evaluation.
+  void Block(BatchView block, double* est, double* second) const {
     std::vector<double> scratch;
     scratch.reserve(p_.size());
-    for (int i = 0; i < batch.size; ++i) {
-      out[i] = ObliviousHtSecondMomentRow(batch.param_row(i),
-                                          batch.sampled_row(i),
-                                          batch.value_row(i), batch.r, f_,
-                                          &scratch);
+    AllSampledPartition part;
+    PartitionAllSampled(block.sampled, block.r, block.size, &part);
+    if (est != nullptr) {
+      ScatterConstant(0.0, part.rest, part.rest_count, est);
     }
-#endif
-  }
-  void EstimateWithVarianceMany(BatchView batch, double* est,
-                                double* var) const override {
-    CheckBatchLayout(batch, Scheme::kOblivious,
-                     static_cast<int>(p_.size()));
-#ifdef PIE_SIMD
-    PartitionedMany(batch, est, var);
-    for (int i = 0; i < batch.size; ++i) {
-      var[i] = est[i] * est[i] - var[i];
+    if (second != nullptr) {
+      ScatterConstant(0.0, part.rest, part.rest_count, second);
     }
-#else
-    std::vector<double> scratch;
-    scratch.reserve(p_.size());
-    for (int i = 0; i < batch.size; ++i) {
-      double second;
+    for (int k = 0; k < part.count; ++k) {
+      const int i = part.idx[k];
+      double e, s;
       ObliviousHtEstimateWithSecondMomentRow(
-          batch.param_row(i), batch.sampled_row(i), batch.value_row(i),
-          batch.r, f_, &scratch, &est[i], &second);
-      var[i] = est[i] * est[i] - second;
+          block.param_row(i), block.sampled_row(i), block.value_row(i),
+          block.r, f_, &scratch, &e, &s);
+      if (est != nullptr) est[i] = e;
+      if (second != nullptr) second[i] = s;
     }
-#endif
   }
   Result<double> Variance(const std::vector<double>& values) const override {
     return ObliviousHtVariance(values, p_, f_);
@@ -633,40 +517,6 @@ class ObliviousHtKernel : public EstimatorKernel {
   std::string name() const override { return name_; }
 
  private:
-#ifdef PIE_SIMD
-  /// All-sampled partition: non-survivors estimate 0 without touching f_
-  /// (a std::function, so its lane math cannot fuse into a branch-free
-  /// loop -- the win is routing rows that cannot contribute around the
-  /// all-sampled scan and call machinery). Survivors run the fused scalar
-  /// row core, whose estimate/second pair shares one f(v) evaluation.
-  void PartitionedMany(BatchView batch, double* est, double* second) const {
-    const int r = static_cast<int>(p_.size());
-    std::vector<double> scratch;
-    scratch.reserve(p_.size());
-    AllSampledPartition part;
-    for (int base = 0; base < batch.size; base += kPartitionBlockRows) {
-      PrefetchSlabsAhead(batch, base, /*seeds=*/false, /*params=*/true);
-      const int n = std::min(kPartitionBlockRows, batch.size - base);
-      PartitionAllSampled(batch.sampled_row(base), r, n, &part);
-      if (est != nullptr) {
-        ScatterConstant(0.0, part.rest, part.rest_count, est + base);
-      }
-      if (second != nullptr) {
-        ScatterConstant(0.0, part.rest, part.rest_count, second + base);
-      }
-      for (int k = 0; k < part.count; ++k) {
-        const int i = base + part.idx[k];
-        double e, s;
-        ObliviousHtEstimateWithSecondMomentRow(
-            batch.param_row(i), batch.sampled_row(i), batch.value_row(i),
-            batch.r, f_, &scratch, &e, &s);
-        if (est != nullptr) est[i] = e;
-        if (second != nullptr) second[i] = s;
-      }
-    }
-  }
-#endif
-
   std::string name_;
   VectorFunction f_;
   std::vector<double> p_;
@@ -684,63 +534,16 @@ inline void SquareSampledRow(const uint8_t* sampled, const double* value,
   }
 }
 
-/// Fused variance combine for the binary (OR) kernels, whose second moment
-/// IS the point estimate (OR^2 = OR): var = e*e - e, the same arithmetic
-/// the two-pass bridge performs after its redundant second estimate pass.
-/// One estimate loop therefore serves the whole fused scan.
-inline void BinaryVarianceFromEstimates(const double* est, int n,
-                                        double* var) {
-  for (int i = 0; i < n; ++i) {
-    var[i] = est[i] * est[i] - est[i];
-  }
-}
-
-class MaxLTwoKernel : public EstimatorKernel {
+class MaxLTwoKernel : public BlockKernel<MaxLTwoKernel> {
  public:
-  MaxLTwoKernel(double p1, double p2) : est_(p1, p2) {}
+  MaxLTwoKernel(double p1, double p2)
+      : BlockKernel(Scheme::kOblivious, 2), est_(p1, p2) {}
   double Estimate(const Outcome& outcome) const override {
     PIE_DCHECK(outcome.scheme == Scheme::kOblivious);
     return est_.Estimate(outcome.oblivious);
   }
-  void EstimateMany(BatchView batch, double* out) const override {
-    CheckBatchLayout(batch, Scheme::kOblivious, 2);
-#ifdef PIE_SIMD
-    R2EstimateBlocks(batch, MaxLTwoForms(est_), out);
-#else
-    for (int i = 0; i < batch.size; ++i) {
-      out[i] = est_.EstimateRow(batch.sampled_row(i), batch.value_row(i));
-    }
-#endif
-  }
-  void EstimateSecondMomentMany(BatchView batch, double* out) const override {
-    CheckBatchLayout(batch, Scheme::kOblivious, 2);
-#ifdef PIE_SIMD
-    R2SecondMomentBlocks(batch, MaxLTwoForms(est_), out);
-#else
-    double sq[2];
-    for (int i = 0; i < batch.size; ++i) {
-      const uint8_t* sampled = batch.sampled_row(i);
-      SquareSampledRow(sampled, batch.value_row(i), 2, sq);
-      out[i] = est_.EstimateRow(sampled, sq);
-    }
-#endif
-  }
-  void EstimateWithVarianceMany(BatchView batch, double* est,
-                                double* var) const override {
-    CheckBatchLayout(batch, Scheme::kOblivious, 2);
-#ifdef PIE_SIMD
-    R2FusedBlocks(batch, MaxLTwoForms(est_), est, var);
-#else
-    double sq[2];
-    for (int i = 0; i < batch.size; ++i) {
-      const uint8_t* sampled = batch.sampled_row(i);
-      const double* value = batch.value_row(i);
-      const double e = est_.EstimateRow(sampled, value);
-      SquareSampledRow(sampled, value, 2, sq);
-      est[i] = e;
-      var[i] = e * e - est_.EstimateRow(sampled, sq);
-    }
-#endif
+  void Block(BatchView block, double* est, double* second) const {
+    R2FormsBlock(block, MaxLTwoForms(est_), est, second);
   }
   Result<double> Variance(const std::vector<double>& values) const override {
     PIE_RETURN_IF_ERROR(RequireR(static_cast<int>(values.size()), 2));
@@ -769,100 +572,40 @@ class MaxLThreeKernel : public EstimatorKernel {
   MaxLThree est_;
 };
 
-class MaxLUniformKernel : public EstimatorKernel {
+class MaxLUniformKernel : public BlockKernel<MaxLUniformKernel> {
  public:
-  MaxLUniformKernel(int r, double p) : est_(r, p) {}
+  MaxLUniformKernel(int r, double p)
+      : BlockKernel(Scheme::kOblivious, r), est_(r, p) {}
   double Estimate(const Outcome& outcome) const override {
     PIE_DCHECK(outcome.scheme == Scheme::kOblivious);
     return est_.Estimate(outcome.oblivious);
   }
-  void EstimateMany(BatchView batch, double* out) const override {
-    CheckBatchLayout(batch, Scheme::kOblivious, est_.r());
-#ifdef PIE_SIMD
-    // The Theorem 4.2 estimate is a sorted dot product, so survivor rows
-    // stay scalar; partitioning pays by routing empty outcomes (estimate
-    // exactly 0) around the sort entirely.
+  // The Theorem 4.2 estimate is a sorted dot product, so survivor rows
+  // stay scalar; partitioning pays by routing empty outcomes (estimate
+  // exactly 0) around the sort entirely.
+  void Block(BatchView block, double* est, double* second) const {
+    const int r = est_.r();
     std::vector<double> scratch;
-    scratch.reserve(static_cast<size_t>(est_.r()));
+    scratch.reserve(static_cast<size_t>(r));
+    std::vector<double> sq(static_cast<size_t>(r));
     AllSampledPartition part;
-    for (int base = 0; base < batch.size; base += kPartitionBlockRows) {
-      const int n = std::min(kPartitionBlockRows, batch.size - base);
-      PartitionAnySampled(batch.sampled_row(base), est_.r(), n, &part);
-      ScatterConstant(0.0, part.rest, part.rest_count, out + base);
-      for (int k = 0; k < part.count; ++k) {
-        const int i = base + part.idx[k];
-        out[i] = est_.EstimateRow(batch.sampled_row(i), batch.value_row(i),
-                                  &scratch);
+    PartitionAnySampled(block.sampled, r, block.size, &part);
+    if (est != nullptr) {
+      ScatterConstant(0.0, part.rest, part.rest_count, est);
+    }
+    if (second != nullptr) {
+      ScatterConstant(0.0, part.rest, part.rest_count, second);
+    }
+    for (int k = 0; k < part.count; ++k) {
+      const int i = part.idx[k];
+      const uint8_t* sampled = block.sampled_row(i);
+      const double* value = block.value_row(i);
+      if (est != nullptr) est[i] = est_.EstimateRow(sampled, value, &scratch);
+      if (second != nullptr) {
+        SquareSampledRow(sampled, value, r, sq.data());
+        second[i] = est_.EstimateRow(sampled, sq.data(), &scratch);
       }
     }
-#else
-    std::vector<double> scratch;
-    scratch.reserve(static_cast<size_t>(est_.r()));
-    for (int i = 0; i < batch.size; ++i) {
-      out[i] = est_.EstimateRow(batch.sampled_row(i), batch.value_row(i),
-                                &scratch);
-    }
-#endif
-  }
-  void EstimateSecondMomentMany(BatchView batch, double* out) const override {
-    CheckBatchLayout(batch, Scheme::kOblivious, est_.r());
-    std::vector<double> scratch;
-    scratch.reserve(static_cast<size_t>(est_.r()));
-    std::vector<double> sq(static_cast<size_t>(est_.r()));
-#ifdef PIE_SIMD
-    AllSampledPartition part;
-    for (int base = 0; base < batch.size; base += kPartitionBlockRows) {
-      const int n = std::min(kPartitionBlockRows, batch.size - base);
-      PartitionAnySampled(batch.sampled_row(base), est_.r(), n, &part);
-      ScatterConstant(0.0, part.rest, part.rest_count, out + base);
-      for (int k = 0; k < part.count; ++k) {
-        const int i = base + part.idx[k];
-        const uint8_t* sampled = batch.sampled_row(i);
-        SquareSampledRow(sampled, batch.value_row(i), est_.r(), sq.data());
-        out[i] = est_.EstimateRow(sampled, sq.data(), &scratch);
-      }
-    }
-#else
-    for (int i = 0; i < batch.size; ++i) {
-      const uint8_t* sampled = batch.sampled_row(i);
-      SquareSampledRow(sampled, batch.value_row(i), est_.r(), sq.data());
-      out[i] = est_.EstimateRow(sampled, sq.data(), &scratch);
-    }
-#endif
-  }
-  void EstimateWithVarianceMany(BatchView batch, double* est,
-                                double* var) const override {
-    CheckBatchLayout(batch, Scheme::kOblivious, est_.r());
-    std::vector<double> scratch;
-    scratch.reserve(static_cast<size_t>(est_.r()));
-    std::vector<double> sq(static_cast<size_t>(est_.r()));
-#ifdef PIE_SIMD
-    AllSampledPartition part;
-    for (int base = 0; base < batch.size; base += kPartitionBlockRows) {
-      const int n = std::min(kPartitionBlockRows, batch.size - base);
-      PartitionAnySampled(batch.sampled_row(base), est_.r(), n, &part);
-      ScatterConstant(0.0, part.rest, part.rest_count, est + base);
-      ScatterConstant(0.0, part.rest, part.rest_count, var + base);
-      for (int k = 0; k < part.count; ++k) {
-        const int i = base + part.idx[k];
-        const uint8_t* sampled = batch.sampled_row(i);
-        const double* value = batch.value_row(i);
-        const double e = est_.EstimateRow(sampled, value, &scratch);
-        SquareSampledRow(sampled, value, est_.r(), sq.data());
-        est[i] = e;
-        var[i] = e * e - est_.EstimateRow(sampled, sq.data(), &scratch);
-      }
-    }
-#else
-    for (int i = 0; i < batch.size; ++i) {
-      const uint8_t* sampled = batch.sampled_row(i);
-      const double* value = batch.value_row(i);
-      const double e = est_.EstimateRow(sampled, value, &scratch);
-      SquareSampledRow(sampled, value, est_.r(), sq.data());
-      est[i] = e;
-      var[i] = e * e - est_.EstimateRow(sampled, sq.data(), &scratch);
-    }
-#endif
   }
   Result<double> Variance(const std::vector<double>& values) const override {
     if (static_cast<int>(values.size()) != est_.r() || est_.r() > 25) {
@@ -879,52 +622,16 @@ class MaxLUniformKernel : public EstimatorKernel {
   MaxLUniform est_;
 };
 
-class MaxUTwoKernel : public EstimatorKernel {
+class MaxUTwoKernel : public BlockKernel<MaxUTwoKernel> {
  public:
-  MaxUTwoKernel(double p1, double p2) : est_(p1, p2) {}
+  MaxUTwoKernel(double p1, double p2)
+      : BlockKernel(Scheme::kOblivious, 2), est_(p1, p2) {}
   double Estimate(const Outcome& outcome) const override {
     PIE_DCHECK(outcome.scheme == Scheme::kOblivious);
     return est_.Estimate(outcome.oblivious);
   }
-  void EstimateMany(BatchView batch, double* out) const override {
-    CheckBatchLayout(batch, Scheme::kOblivious, 2);
-#ifdef PIE_SIMD
-    R2EstimateBlocks(batch, MaxUTwoForms(est_), out);
-#else
-    for (int i = 0; i < batch.size; ++i) {
-      out[i] = est_.EstimateRow(batch.sampled_row(i), batch.value_row(i));
-    }
-#endif
-  }
-  void EstimateSecondMomentMany(BatchView batch, double* out) const override {
-    CheckBatchLayout(batch, Scheme::kOblivious, 2);
-#ifdef PIE_SIMD
-    R2SecondMomentBlocks(batch, MaxUTwoForms(est_), out);
-#else
-    double sq[2];
-    for (int i = 0; i < batch.size; ++i) {
-      const uint8_t* sampled = batch.sampled_row(i);
-      SquareSampledRow(sampled, batch.value_row(i), 2, sq);
-      out[i] = est_.EstimateRow(sampled, sq);
-    }
-#endif
-  }
-  void EstimateWithVarianceMany(BatchView batch, double* est,
-                                double* var) const override {
-    CheckBatchLayout(batch, Scheme::kOblivious, 2);
-#ifdef PIE_SIMD
-    R2FusedBlocks(batch, MaxUTwoForms(est_), est, var);
-#else
-    double sq[2];
-    for (int i = 0; i < batch.size; ++i) {
-      const uint8_t* sampled = batch.sampled_row(i);
-      const double* value = batch.value_row(i);
-      const double e = est_.EstimateRow(sampled, value);
-      SquareSampledRow(sampled, value, 2, sq);
-      est[i] = e;
-      var[i] = e * e - est_.EstimateRow(sampled, sq);
-    }
-#endif
+  void Block(BatchView block, double* est, double* second) const {
+    R2FormsBlock(block, MaxUTwoForms(est_), est, second);
   }
   Result<double> Variance(const std::vector<double>& values) const override {
     PIE_RETURN_IF_ERROR(RequireR(static_cast<int>(values.size()), 2));
@@ -936,52 +643,16 @@ class MaxUTwoKernel : public EstimatorKernel {
   MaxUTwo est_;
 };
 
-class MaxUAsymTwoKernel : public EstimatorKernel {
+class MaxUAsymTwoKernel : public BlockKernel<MaxUAsymTwoKernel> {
  public:
-  MaxUAsymTwoKernel(double p1, double p2) : est_(p1, p2) {}
+  MaxUAsymTwoKernel(double p1, double p2)
+      : BlockKernel(Scheme::kOblivious, 2), est_(p1, p2) {}
   double Estimate(const Outcome& outcome) const override {
     PIE_DCHECK(outcome.scheme == Scheme::kOblivious);
     return est_.Estimate(outcome.oblivious);
   }
-  void EstimateMany(BatchView batch, double* out) const override {
-    CheckBatchLayout(batch, Scheme::kOblivious, 2);
-#ifdef PIE_SIMD
-    R2EstimateBlocks(batch, MaxUAsymTwoForms(est_), out);
-#else
-    for (int i = 0; i < batch.size; ++i) {
-      out[i] = est_.EstimateRow(batch.sampled_row(i), batch.value_row(i));
-    }
-#endif
-  }
-  void EstimateSecondMomentMany(BatchView batch, double* out) const override {
-    CheckBatchLayout(batch, Scheme::kOblivious, 2);
-#ifdef PIE_SIMD
-    R2SecondMomentBlocks(batch, MaxUAsymTwoForms(est_), out);
-#else
-    double sq[2];
-    for (int i = 0; i < batch.size; ++i) {
-      const uint8_t* sampled = batch.sampled_row(i);
-      SquareSampledRow(sampled, batch.value_row(i), 2, sq);
-      out[i] = est_.EstimateRow(sampled, sq);
-    }
-#endif
-  }
-  void EstimateWithVarianceMany(BatchView batch, double* est,
-                                double* var) const override {
-    CheckBatchLayout(batch, Scheme::kOblivious, 2);
-#ifdef PIE_SIMD
-    R2FusedBlocks(batch, MaxUAsymTwoForms(est_), est, var);
-#else
-    double sq[2];
-    for (int i = 0; i < batch.size; ++i) {
-      const uint8_t* sampled = batch.sampled_row(i);
-      const double* value = batch.value_row(i);
-      const double e = est_.EstimateRow(sampled, value);
-      SquareSampledRow(sampled, value, 2, sq);
-      est[i] = e;
-      var[i] = e * e - est_.EstimateRow(sampled, sq);
-    }
-#endif
+  void Block(BatchView block, double* est, double* second) const {
+    R2FormsBlock(block, MaxUAsymTwoForms(est_), est, second);
   }
   Result<double> Variance(const std::vector<double>& values) const override {
     PIE_RETURN_IF_ERROR(RequireR(static_cast<int>(values.size()), 2));
@@ -993,36 +664,17 @@ class MaxUAsymTwoKernel : public EstimatorKernel {
   MaxUAsymTwo est_;
 };
 
-class OrLTwoKernel : public EstimatorKernel {
+class OrLTwoKernel
+    : public BlockKernel<OrLTwoKernel, SecondMoment::kEstimate> {
  public:
-  OrLTwoKernel(double p1, double p2) : est_(p1, p2) {}
+  OrLTwoKernel(double p1, double p2)
+      : BlockKernel(Scheme::kOblivious, 2), est_(p1, p2) {}
   double Estimate(const Outcome& outcome) const override {
     PIE_DCHECK(outcome.scheme == Scheme::kOblivious);
     return est_.Estimate(outcome.oblivious);
   }
-  void EstimateMany(BatchView batch, double* out) const override {
-    CheckBatchLayout(batch, Scheme::kOblivious, 2);
-#ifdef PIE_SIMD
-    R2EstimateBlocks(batch, OrLTwoForms(est_), out);
-#else
-    for (int i = 0; i < batch.size; ++i) {
-      out[i] = est_.EstimateRow(batch.sampled_row(i), batch.value_row(i));
-    }
-#endif
-  }
-  // Binary domain: OR(v)^2 = OR(v), so the point estimate IS the unbiased
-  // second-moment estimate (and 0/1 are fixed points of squaring, so this
-  // is bitwise the base squared-outcome bridge).
-  double EstimateSecondMoment(const Outcome& outcome) const override {
-    return Estimate(outcome);
-  }
-  void EstimateSecondMomentMany(BatchView batch, double* out) const override {
-    EstimateMany(batch, out);
-  }
-  void EstimateWithVarianceMany(BatchView batch, double* est,
-                                double* var) const override {
-    EstimateMany(batch, est);
-    BinaryVarianceFromEstimates(est, batch.size, var);
+  void Block(BatchView block, double* est) const {
+    R2FormsBlock(block, OrLTwoForms(est_), est, nullptr);
   }
   Result<double> Variance(const std::vector<double>& values) const override {
     PIE_RETURN_IF_ERROR(RequireR(static_cast<int>(values.size()), 2));
@@ -1036,45 +688,25 @@ class OrLTwoKernel : public EstimatorKernel {
   OrLTwo est_;
 };
 
-class OrLUniformKernel : public EstimatorKernel {
+class OrLUniformKernel
+    : public BlockKernel<OrLUniformKernel, SecondMoment::kEstimate> {
  public:
-  OrLUniformKernel(int r, double p) : est_(r, p) {}
+  OrLUniformKernel(int r, double p)
+      : BlockKernel(Scheme::kOblivious, r), est_(r, p) {}
   double Estimate(const Outcome& outcome) const override {
     PIE_DCHECK(outcome.scheme == Scheme::kOblivious);
     return est_.Estimate(outcome.oblivious);
   }
-  void EstimateMany(BatchView batch, double* out) const override {
-    CheckBatchLayout(batch, Scheme::kOblivious, est_.r());
-#ifdef PIE_SIMD
-    // Rows without a sampled entry estimate 0 dense; survivors run the
-    // checked counting row (the estimate itself is a prefix-sum lookup).
+  // Rows without a sampled entry estimate 0 dense; survivors run the
+  // checked counting row (the estimate itself is a prefix-sum lookup).
+  void Block(BatchView block, double* est) const {
     AllSampledPartition part;
-    for (int base = 0; base < batch.size; base += kPartitionBlockRows) {
-      const int n = std::min(kPartitionBlockRows, batch.size - base);
-      PartitionAnySampled(batch.sampled_row(base), est_.r(), n, &part);
-      ScatterConstant(0.0, part.rest, part.rest_count, out + base);
-      for (int k = 0; k < part.count; ++k) {
-        const int i = base + part.idx[k];
-        out[i] = est_.EstimateRow(batch.sampled_row(i), batch.value_row(i));
-      }
+    PartitionAnySampled(block.sampled, est_.r(), block.size, &part);
+    ScatterConstant(0.0, part.rest, part.rest_count, est);
+    for (int k = 0; k < part.count; ++k) {
+      const int i = part.idx[k];
+      est[i] = est_.EstimateRow(block.sampled_row(i), block.value_row(i));
     }
-#else
-    for (int i = 0; i < batch.size; ++i) {
-      out[i] = est_.EstimateRow(batch.sampled_row(i), batch.value_row(i));
-    }
-#endif
-  }
-  // Binary domain: OR(v)^2 = OR(v) (see OrLTwoKernel).
-  double EstimateSecondMoment(const Outcome& outcome) const override {
-    return Estimate(outcome);
-  }
-  void EstimateSecondMomentMany(BatchView batch, double* out) const override {
-    EstimateMany(batch, out);
-  }
-  void EstimateWithVarianceMany(BatchView batch, double* est,
-                                double* var) const override {
-    EstimateMany(batch, est);
-    BinaryVarianceFromEstimates(est, batch.size, var);
   }
   Result<double> Variance(const std::vector<double>& values) const override {
     PIE_RETURN_IF_ERROR(RequireR(static_cast<int>(values.size()), est_.r()));
@@ -1091,35 +723,18 @@ class OrLUniformKernel : public EstimatorKernel {
   OrLUniform est_;
 };
 
-class OrUTwoKernel : public EstimatorKernel {
+class OrUTwoKernel
+    : public BlockKernel<OrUTwoKernel, SecondMoment::kEstimate> {
  public:
-  OrUTwoKernel(double p1, double p2) : est_(p1, p2) {}
+  OrUTwoKernel(double p1, double p2)
+      : BlockKernel(Scheme::kOblivious, 2), est_(p1, p2) {}
   double Estimate(const Outcome& outcome) const override {
     PIE_DCHECK(outcome.scheme == Scheme::kOblivious);
     return est_.Estimate(outcome.oblivious);
   }
-  void EstimateMany(BatchView batch, double* out) const override {
-    CheckBatchLayout(batch, Scheme::kOblivious, 2);
-#ifdef PIE_SIMD
-    CheckR2BinarySampled(batch);
-    R2EstimateBlocks(batch, MaxUTwoForms(est_.max_u()), out);
-#else
-    for (int i = 0; i < batch.size; ++i) {
-      out[i] = est_.EstimateRow(batch.sampled_row(i), batch.value_row(i));
-    }
-#endif
-  }
-  // Binary domain: OR(v)^2 = OR(v) (see OrLTwoKernel).
-  double EstimateSecondMoment(const Outcome& outcome) const override {
-    return Estimate(outcome);
-  }
-  void EstimateSecondMomentMany(BatchView batch, double* out) const override {
-    EstimateMany(batch, out);
-  }
-  void EstimateWithVarianceMany(BatchView batch, double* est,
-                                double* var) const override {
-    EstimateMany(batch, est);
-    BinaryVarianceFromEstimates(est, batch.size, var);
+  void Block(BatchView block, double* est) const {
+    CheckR2BinarySampled(block);
+    R2FormsBlock(block, MaxUTwoForms(est_.max_u()), est, nullptr);
   }
   Result<double> Variance(const std::vector<double>& values) const override {
     PIE_RETURN_IF_ERROR(RequireR(static_cast<int>(values.size()), 2));
@@ -1133,27 +748,14 @@ class OrUTwoKernel : public EstimatorKernel {
   OrUTwo est_;
 };
 
-class MaxHtWeightedKernel : public EstimatorKernel {
+class MaxHtWeightedKernel : public BlockKernel<MaxHtWeightedKernel> {
  public:
   explicit MaxHtWeightedKernel(std::vector<double> tau)
-      : est_(std::move(tau)) {}
+      : BlockKernel(Scheme::kPps, static_cast<int>(tau.size())),
+        est_(std::move(tau)) {}
   double Estimate(const Outcome& outcome) const override {
     PIE_DCHECK(outcome.scheme == Scheme::kPps);
     return est_.Estimate(outcome.pps);
-  }
-  void EstimateMany(BatchView batch, double* out) const override {
-    CheckBatchLayout(batch, Scheme::kPps,
-                     static_cast<int>(est_.tau().size()));
-#ifdef PIE_SIMD
-    if (est_.tau().size() == 2) {
-      MaxHtR2Blocks(batch, est_.tau()[0], est_.tau()[1], out, nullptr);
-      return;
-    }
-#endif
-    for (int i = 0; i < batch.size; ++i) {
-      out[i] = est_.EstimateRow(batch.param_row(i), batch.seed_row(i),
-                                batch.sampled_row(i), batch.value_row(i));
-    }
   }
   double EstimateSecondMoment(const Outcome& outcome) const override {
     PIE_DCHECK(outcome.scheme == Scheme::kPps);
@@ -1161,42 +763,20 @@ class MaxHtWeightedKernel : public EstimatorKernel {
     return est_.SecondMomentRow(o.tau.data(), o.seed.data(),
                                 o.sampled.data(), o.value.data());
   }
-  void EstimateSecondMomentMany(BatchView batch, double* out) const override {
-    CheckBatchLayout(batch, Scheme::kPps,
-                     static_cast<int>(est_.tau().size()));
-#ifdef PIE_SIMD
-    if (est_.tau().size() == 2) {
-      MaxHtR2Blocks(batch, est_.tau()[0], est_.tau()[1], nullptr, out);
+  // r = 2 runs dense per pattern bucket; wider rows run the fused scalar
+  // row core.
+  void Block(BatchView block, double* est, double* second) const {
+    if (block.r == 2) {
+      MaxHtR2Block(block, est_.tau()[0], est_.tau()[1], est, second);
       return;
     }
-#endif
-    for (int i = 0; i < batch.size; ++i) {
-      out[i] = est_.SecondMomentRow(batch.param_row(i), batch.seed_row(i),
-                                    batch.sampled_row(i),
-                                    batch.value_row(i));
-    }
-  }
-  void EstimateWithVarianceMany(BatchView batch, double* est,
-                                double* var) const override {
-    CheckBatchLayout(batch, Scheme::kPps,
-                     static_cast<int>(est_.tau().size()));
-#ifdef PIE_SIMD
-    if (est_.tau().size() == 2) {
-      MaxHtR2Blocks(batch, est_.tau()[0], est_.tau()[1], est, var);
-      for (int i = 0; i < batch.size; ++i) {
-        var[i] = est[i] * est[i] - var[i];
-      }
-      return;
-    }
-#endif
-    for (int i = 0; i < batch.size; ++i) {
-      double second;
-      est_.EstimateWithSecondMomentRow(batch.param_row(i),
-                                       batch.seed_row(i),
-                                       batch.sampled_row(i),
-                                       batch.value_row(i), &est[i],
-                                       &second);
-      var[i] = est[i] * est[i] - second;
+    for (int i = 0; i < block.size; ++i) {
+      double e, s;
+      est_.EstimateWithSecondMomentRow(block.param_row(i), block.seed_row(i),
+                                       block.sampled_row(i),
+                                       block.value_row(i), &e, &s);
+      if (est != nullptr) est[i] = e;
+      if (second != nullptr) second[i] = s;
     }
   }
   Result<double> Variance(const std::vector<double>& values) const override {
@@ -1211,78 +791,15 @@ class MaxHtWeightedKernel : public EstimatorKernel {
   MaxHtWeighted est_;
 };
 
-class MaxLWeightedTwoKernel : public EstimatorKernel {
+class MaxLWeightedTwoKernel : public BlockKernel<MaxLWeightedTwoKernel> {
  public:
   MaxLWeightedTwoKernel(double tau1, double tau2, double quad_tol)
-      : est_(tau1, tau2, quad_tol), second_({tau1, tau2}) {}
+      : BlockKernel(Scheme::kPps, 2),
+        est_(tau1, tau2, quad_tol),
+        second_({tau1, tau2}) {}
   double Estimate(const Outcome& outcome) const override {
     PIE_DCHECK(outcome.scheme == Scheme::kPps);
     return est_.Estimate(outcome.pps);
-  }
-  void EstimateMany(BatchView batch, double* out) const override {
-    CheckBatchLayout(batch, Scheme::kPps, 2);
-#ifdef PIE_SIMD
-    // Pattern-partitioned: each bucket builds its determining vector
-    // (d1, d2) branch-free, then EvalSortedDense evaluates the non-log
-    // regimes vectorized and resolves the log regimes in a scalar tail.
-    const double tau1 = est_.tau1();
-    const double tau2 = est_.tau2();
-    for (int base = 0; base < batch.size; base += kPartitionBlockRows) {
-      PrefetchSlabsAhead(batch, base, /*seeds=*/true, /*params=*/true);
-      const int n = std::min(kPartitionBlockRows, batch.size - base);
-      R2Partition part;
-      PartitionR2(batch.sampled_row(base), n, &part);
-      const double* value = batch.value_row(base);
-      const double* seed = batch.seed_row(base);
-      const double* tau = batch.param_row(base);
-      double d1[kPartitionBlockRows], d2[kPartitionBlockRows];
-      double sd[kPartitionBlockRows], bt[kPartitionBlockRows];
-      double e[kPartitionBlockRows];
-      ScatterConstant(0.0, part.idx[0], part.count[0], out + base);
-      // The three sampled buckets build their (d1, d2) pairs into disjoint
-      // SEGMENTS of one dense lane array, so EvalSortedDense runs once per
-      // block (one pass-1 sweep, one log compaction, one vector tail)
-      // instead of once per bucket. The evaluation is per-lane independent,
-      // so concatenation changes no bits.
-      int seg[4] = {0, 0, 0, 0};
-      int off = 0;
-      for (int bucket = 1; bucket <= 2; ++bucket) {
-        const uint16_t* idx = part.idx[bucket];
-        const int cnt = part.count[bucket];
-        seg[bucket] = off;
-        if (cnt == 0) continue;
-        const int have = bucket == 1 ? 0 : 1;
-        const int miss = 1 - have;
-        double* dh = (bucket == 1 ? d1 : d2) + off;
-        double* dm = (bucket == 1 ? d2 : d1) + off;
-        GatherColumn(value, 2, have, idx, cnt, dh);
-        GatherColumn(seed, 2, miss, idx, cnt, sd);
-        GatherColumn(tau, 2, miss, idx, cnt, bt);
-        for (int k = 0; k < cnt; ++k) {
-          dm[k] = std::min(sd[k] * bt[k], dh[k]);
-        }
-        off += cnt;
-      }
-      seg[3] = off;
-      if (part.count[3] > 0) {
-        GatherColumn(value, 2, 0, part.idx[3], part.count[3], d1 + off);
-        GatherColumn(value, 2, 1, part.idx[3], part.count[3], d2 + off);
-        off += part.count[3];
-      }
-      if (off > 0) {
-        EvalSortedDense(d1, d2, off, tau1, tau2, e);
-        for (int bucket = 1; bucket <= 3; ++bucket) {
-          Scatter(e + seg[bucket], part.idx[bucket], part.count[bucket],
-                  out + base);
-        }
-      }
-    }
-#else
-    for (int i = 0; i < batch.size; ++i) {
-      out[i] = est_.EstimateRow(batch.param_row(i), batch.seed_row(i),
-                                batch.sampled_row(i), batch.value_row(i));
-    }
-#endif
   }
   // The second moment uses the identifiable-event inverse-probability form
   // (max_sampled^2 / p on outcomes that pin down max(v)); any unbiased
@@ -1294,152 +811,89 @@ class MaxLWeightedTwoKernel : public EstimatorKernel {
     return second_.SecondMomentRow(o.tau.data(), o.seed.data(),
                                    o.sampled.data(), o.value.data());
   }
-  void EstimateSecondMomentMany(BatchView batch, double* out) const override {
-    CheckBatchLayout(batch, Scheme::kPps, 2);
-#ifdef PIE_SIMD
-    // Same identifiable-event arithmetic as MaxHtWeighted r=2.
-    MaxHtR2Blocks(batch, est_.tau1(), est_.tau2(), nullptr, out);
-#else
-    for (int i = 0; i < batch.size; ++i) {
-      out[i] = second_.SecondMomentRow(batch.param_row(i),
-                                       batch.seed_row(i),
-                                       batch.sampled_row(i),
-                                       batch.value_row(i));
-    }
-#endif
-  }
-  // Single-load fused row: one case split on the sampled pattern feeds
-  // BOTH the max^(L) determining vector and the identifiable-event second
-  // moment (they share the largest sampled value and the seed upper
-  // bounds), so the with-variance scan pays one branchy pass per row
-  // instead of two. Every expression matches MaxLWeightedTwo::EstimateRow
-  // / MaxHtWeighted::SecondMomentRow operation for operation -- the fused
-  // sweep in tests/parallel_scan_test.cc enforces bitwise identity with
-  // the two-pass bridge.
-  void EstimateWithVarianceMany(BatchView batch, double* est,
-                                double* var) const override {
-    CheckBatchLayout(batch, Scheme::kPps, 2);
+  // Per bucket the block builds the max^(L) determining vector (d1, d2)
+  // and, when asked, the identifiable-event second moment from the SAME
+  // gathered columns (they share the largest sampled value and the seed
+  // upper bounds), then EvalSortedDense evaluates the non-log regimes
+  // vectorized and resolves the log regimes in a scalar tail. Every
+  // expression matches MaxLWeightedTwo::EstimateRow /
+  // MaxHtWeighted::SecondMomentRow operation for operation.
+  void Block(BatchView block, double* est, double* second) const {
     const double tau1 = est_.tau1();
     const double tau2 = est_.tau2();
-#ifdef PIE_SIMD
-    // Per bucket the fused pass builds (d1, d2) for max^(L) and the
-    // (mx, identifiable) pair for the second moment from the SAME gathered
-    // columns, evaluates the estimate dense, and combines var = e^2 - s.
-    for (int base = 0; base < batch.size; base += kPartitionBlockRows) {
-      PrefetchSlabsAhead(batch, base, /*seeds=*/true, /*params=*/true);
-      const int n = std::min(kPartitionBlockRows, batch.size - base);
-      R2Partition part;
-      PartitionR2(batch.sampled_row(base), n, &part);
-      const double* value = batch.value_row(base);
-      const double* seed = batch.seed_row(base);
-      const double* tau = batch.param_row(base);
-      double d1[kPartitionBlockRows], d2[kPartitionBlockRows];
-      double sd[kPartitionBlockRows], bt[kPartitionBlockRows];
-      double e[kPartitionBlockRows], s[kPartitionBlockRows];
-      double w[kPartitionBlockRows];
-      ScatterConstant(0.0, part.idx[0], part.count[0], est + base);
-      ScatterConstant(0.0, part.idx[0], part.count[0], var + base);
-      // As in EstimateMany, the sampled buckets fill disjoint segments of
-      // one dense lane array (here (d1, d2) AND the second-moment lane s)
-      // so EvalSortedDense and the var combine run once per block.
-      int seg[4] = {0, 0, 0, 0};
-      int off = 0;
-      for (int bucket = 1; bucket <= 2; ++bucket) {
-        const uint16_t* idx = part.idx[bucket];
-        const int cnt = part.count[bucket];
-        seg[bucket] = off;
-        if (cnt == 0) continue;
-        const int have = bucket == 1 ? 0 : 1;
-        const int miss = 1 - have;
-        double* dh = (bucket == 1 ? d1 : d2) + off;
-        double* dm = (bucket == 1 ? d2 : d1) + off;
+    if (est == nullptr) {
+      // Same identifiable-event arithmetic as MaxHtWeighted r=2.
+      MaxHtR2Block(block, tau1, tau2, nullptr, second);
+      return;
+    }
+    R2Partition part;
+    PartitionR2(block.sampled, block.size, &part);
+    double d1[kPartitionBlockRows], d2[kPartitionBlockRows];
+    double sd[kPartitionBlockRows], bt[kPartitionBlockRows];
+    double e[kPartitionBlockRows], s[kPartitionBlockRows];
+    ScatterConstant(0.0, part.idx[0], part.count[0], est);
+    if (second != nullptr) {
+      ScatterConstant(0.0, part.idx[0], part.count[0], second);
+    }
+    // The three sampled buckets build their lanes into disjoint SEGMENTS
+    // of one dense array, so EvalSortedDense runs once per block (one
+    // pass-1 sweep, one log compaction, one vector tail) instead of once
+    // per bucket. The evaluation is per-lane independent, so
+    // concatenation changes no bits.
+    int seg[4] = {0, 0, 0, 0};
+    int off = 0;
+    for (int bucket = 1; bucket <= 2; ++bucket) {
+      const uint16_t* idx = part.idx[bucket];
+      const int cnt = part.count[bucket];
+      seg[bucket] = off;
+      if (cnt == 0) continue;
+      const int have = bucket == 1 ? 0 : 1;
+      const int miss = 1 - have;
+      double* dh = (bucket == 1 ? d1 : d2) + off;
+      double* dm = (bucket == 1 ? d2 : d1) + off;
+      GatherColumn(block.value, 2, have, idx, cnt, dh);
+      GatherColumn(block.seed, 2, miss, idx, cnt, sd);
+      GatherColumn(block.param, 2, miss, idx, cnt, bt);
+      for (int k = 0; k < cnt; ++k) dm[k] = std::min(sd[k] * bt[k], dh[k]);
+      if (second != nullptr) {
+        // ok split into single-comparison blends as in MaxHtR2Block.
         double* sb = s + off;
-        GatherColumn(value, 2, have, idx, cnt, dh);
-        GatherColumn(seed, 2, miss, idx, cnt, sd);
-        GatherColumn(tau, 2, miss, idx, cnt, bt);
-        // ok split into single-comparison blends as in MaxHtR2Blocks.
         for (int k = 0; k < cnt; ++k) {
           const double bound = sd[k] * bt[k];
-          dm[k] = std::min(bound, dh[k]);
           const double mx = std::max(0.0, dh[k]);
-          const double prob =
-              Min1(mx / tau1) * Min1(mx / tau2);
+          const double prob = Min1(mx / tau1) * Min1(mx / tau2);
           const double s_ok = bound > mx ? 0.0 : mx * mx / prob;
           sb[k] = dh[k] > 0 ? s_ok : 0.0;
         }
-        off += cnt;
       }
-      seg[3] = off;
-      if (part.count[3] > 0) {
-        const uint16_t* idx = part.idx[3];
-        const int cnt = part.count[3];
-        double* da = d1 + off;
-        double* db = d2 + off;
+      off += cnt;
+    }
+    seg[3] = off;
+    if (part.count[3] > 0) {
+      const uint16_t* idx = part.idx[3];
+      const int cnt = part.count[3];
+      double* da = d1 + off;
+      double* db = d2 + off;
+      GatherColumn(block.value, 2, 0, idx, cnt, da);
+      GatherColumn(block.value, 2, 1, idx, cnt, db);
+      if (second != nullptr) {
         double* sb = s + off;
-        GatherColumn(value, 2, 0, idx, cnt, da);
-        GatherColumn(value, 2, 1, idx, cnt, db);
         for (int k = 0; k < cnt; ++k) {
           const double mx = std::max(std::max(0.0, da[k]), db[k]);
-          const double prob =
-              Min1(mx / tau1) * Min1(mx / tau2);
+          const double prob = Min1(mx / tau1) * Min1(mx / tau2);
           sb[k] = mx > 0 ? mx * mx / prob : 0.0;
         }
-        off += cnt;
       }
-      if (off > 0) {
-        EvalSortedDense(d1, d2, off, tau1, tau2, e);
-        for (int k = 0; k < off; ++k) w[k] = e[k] * e[k] - s[k];
-        for (int bucket = 1; bucket <= 3; ++bucket) {
-          Scatter(e + seg[bucket], part.idx[bucket], part.count[bucket],
-                  est + base);
-          Scatter(w + seg[bucket], part.idx[bucket], part.count[bucket],
-                  var + base);
-        }
-      }
+      off += cnt;
     }
-#else
-    for (int i = 0; i < batch.size; ++i) {
-      const double* tau = batch.param_row(i);
-      const double* seed = batch.seed_row(i);
-      const uint8_t* sampled = batch.sampled_row(i);
-      const double* value = batch.value_row(i);
-      const bool s1 = sampled[0] != 0;
-      const bool s2 = sampled[1] != 0;
-      double e = 0.0;
-      double second = 0.0;
-      if (s1 || s2) {
-        double d1, d2;            // determining vector (max^(L))
-        double mx;                // largest sampled value (second moment)
-        bool identifiable;        // every unsampled seed bound <= mx
-        if (s1 && s2) {
-          d1 = value[0];
-          d2 = value[1];
-          mx = std::max(std::max(0.0, value[0]), value[1]);
-          identifiable = true;
-        } else if (s1) {
-          d1 = value[0];
-          const double bound2 = seed[1] * tau[1];
-          d2 = std::min(bound2, d1);
-          mx = std::max(0.0, value[0]);
-          identifiable = !(bound2 > mx);
-        } else {
-          d2 = value[1];
-          const double bound1 = seed[0] * tau[0];
-          d1 = std::min(bound1, d2);
-          mx = std::max(0.0, value[1]);
-          identifiable = !(bound1 > mx);
-        }
-        e = est_.EstimateFromDeterminingVector(d1, d2);
-        if (mx > 0 && identifiable) {
-          const double prob =
-              std::fmin(1.0, mx / tau1) * std::fmin(1.0, mx / tau2);
-          second = mx * mx / prob;
-        }
-      }
-      est[i] = e;
-      var[i] = e * e - second;
+    if (off == 0) return;
+    EvalSortedDense(d1, d2, off, tau1, tau2, e);
+    for (int bucket = 1; bucket <= 3; ++bucket) {
+      const uint16_t* idx = part.idx[bucket];
+      const int cnt = part.count[bucket];
+      Scatter(e + seg[bucket], idx, cnt, est);
+      if (second != nullptr) Scatter(s + seg[bucket], idx, cnt, second);
     }
-#endif
   }
   Result<double> Variance(const std::vector<double>& values) const override {
     PIE_RETURN_IF_ERROR(RequireR(static_cast<int>(values.size()), 2));
@@ -1454,10 +908,11 @@ class MaxLWeightedTwoKernel : public EstimatorKernel {
 
 /// OR over weighted PPS samples with known seeds, r = 2; the family selects
 /// HT, L, or U through the binary outcome mapping of Section 5.1.
-class OrWeightedTwoKernel : public EstimatorKernel {
+class OrWeightedTwoKernel
+    : public BlockKernel<OrWeightedTwoKernel, SecondMoment::kEstimate> {
  public:
   OrWeightedTwoKernel(double tau1, double tau2, Family family)
-      : est_(tau1, tau2), family_(family) {}
+      : BlockKernel(Scheme::kPps, 2), est_(tau1, tau2), family_(family) {}
   double Estimate(const Outcome& outcome) const override {
     PIE_DCHECK(outcome.scheme == Scheme::kPps);
     switch (family_) {
@@ -1469,93 +924,54 @@ class OrWeightedTwoKernel : public EstimatorKernel {
         return est_.EstimateU(outcome.pps);
     }
   }
-  void EstimateMany(BatchView batch, double* out) const override {
-    CheckBatchLayout(batch, Scheme::kPps, 2);
-#ifdef PIE_SIMD
-    // Section 5.1 mapping first (per row, keeps its checks), then the rows
-    // are partitioned on the MAPPED sampled flags -- a seed below p_i turns
-    // a missing entry into a certified zero, so the mapped pattern, not the
-    // raw one, selects the estimator's closed form.
-    for (int base = 0; base < batch.size; base += kPartitionBlockRows) {
-      const int n = std::min(kPartitionBlockRows, batch.size - base);
-      double p_blk[2 * kPartitionBlockRows];
-      uint8_t s_blk[2 * kPartitionBlockRows];
-      double v_blk[2 * kPartitionBlockRows];
-      for (int i = 0; i < n; ++i) {
-        const int row = base + i;
-        MapBinaryPpsRowToOblivious(batch.param_row(row), batch.seed_row(row),
-                                   batch.sampled_row(row),
-                                   batch.value_row(row), 2, p_blk + 2 * i,
-                                   s_blk + 2 * i, v_blk + 2 * i);
-      }
-      R2Partition part;
-      PartitionR2(s_blk, n, &part);
-      switch (family_) {
-        case Family::kL:
-          ApplyR2Forms(v_blk, part, OrLTwoForms(est_.or_l()), out + base);
-          break;
-        case Family::kHt: {  // positive only when both mapped-sampled.
-          ScatterConstant(0.0, part.idx[0], part.count[0], out + base);
-          ScatterConstant(0.0, part.idx[1], part.count[1], out + base);
-          ScatterConstant(0.0, part.idx[2], part.count[2], out + base);
-          const uint16_t* idx = part.idx[3];
-          const int cnt = part.count[3];
-          if (cnt > 0) {
-            double v0[kPartitionBlockRows], v1[kPartitionBlockRows];
-            double p0[kPartitionBlockRows], p1[kPartitionBlockRows];
-            double e[kPartitionBlockRows];
-            GatherColumn(v_blk, 2, 0, idx, cnt, v0);
-            GatherColumn(v_blk, 2, 1, idx, cnt, v1);
-            GatherColumn(p_blk, 2, 0, idx, cnt, p0);
-            GatherColumn(p_blk, 2, 1, idx, cnt, p1);
-            for (int k = 0; k < cnt; ++k) {
-              const bool any = v0[k] != 0.0 || v1[k] != 0.0;
-              e[k] = any ? 1.0 / (p0[k] * p1[k]) : 0.0;
-            }
-            Scatter(e, idx, cnt, out + base);
+  // Section 5.1 mapping first (per row, keeps its checks), then the rows
+  // are partitioned on the MAPPED sampled flags -- a seed below p_i turns
+  // a missing entry into a certified zero, so the mapped pattern, not the
+  // raw one, selects the estimator's closed form.
+  void Block(BatchView block, double* est) const {
+    double p_blk[2 * kPartitionBlockRows];
+    uint8_t s_blk[2 * kPartitionBlockRows];
+    double v_blk[2 * kPartitionBlockRows];
+    for (int i = 0; i < block.size; ++i) {
+      MapBinaryPpsRowToOblivious(block.param_row(i), block.seed_row(i),
+                                 block.sampled_row(i), block.value_row(i), 2,
+                                 p_blk + 2 * i, s_blk + 2 * i, v_blk + 2 * i);
+    }
+    R2Partition part;
+    PartitionR2(s_blk, block.size, &part);
+    switch (family_) {
+      case Family::kL:
+        ApplyR2Forms(v_blk, part, OrLTwoForms(est_.or_l()), false, est);
+        break;
+      case Family::kHt: {  // positive only when both mapped-sampled.
+        ScatterConstant(0.0, part.idx[0], part.count[0], est);
+        ScatterConstant(0.0, part.idx[1], part.count[1], est);
+        ScatterConstant(0.0, part.idx[2], part.count[2], est);
+        const uint16_t* idx = part.idx[3];
+        const int cnt = part.count[3];
+        if (cnt > 0) {
+          double v0[kPartitionBlockRows], v1[kPartitionBlockRows];
+          double p0[kPartitionBlockRows], p1[kPartitionBlockRows];
+          double e[kPartitionBlockRows];
+          GatherColumn(v_blk, 2, 0, idx, cnt, v0);
+          GatherColumn(v_blk, 2, 1, idx, cnt, v1);
+          GatherColumn(p_blk, 2, 0, idx, cnt, p0);
+          GatherColumn(p_blk, 2, 1, idx, cnt, p1);
+          for (int k = 0; k < cnt; ++k) {
+            const bool any = v0[k] != 0.0 || v1[k] != 0.0;
+            e[k] = any ? 1.0 / (p0[k] * p1[k]) : 0.0;
           }
-          break;
+          Scatter(e, idx, cnt, est);
         }
-        default:
-          // Mapped values are 0/1 by construction (the mapping already
-          // checked them), so OrUTwo reduces to its max^(U) arithmetic.
-          ApplyR2Forms(v_blk, part, MaxUTwoForms(est_.or_u().max_u()),
-                       out + base);
-          break;
+        break;
       }
+      default:
+        // Mapped values are 0/1 by construction (the mapping already
+        // checked them), so OrUTwo reduces to its max^(U) arithmetic.
+        ApplyR2Forms(v_blk, part, MaxUTwoForms(est_.or_u().max_u()), false,
+                     est);
+        break;
     }
-#else
-    for (int i = 0; i < batch.size; ++i) {
-      const double* tau = batch.param_row(i);
-      const double* seed = batch.seed_row(i);
-      const uint8_t* sampled = batch.sampled_row(i);
-      const double* value = batch.value_row(i);
-      switch (family_) {
-        case Family::kHt:
-          out[i] = est_.EstimateHtRow(tau, seed, sampled, value);
-          break;
-        case Family::kL:
-          out[i] = est_.EstimateLRow(tau, seed, sampled, value);
-          break;
-        default:
-          out[i] = est_.EstimateURow(tau, seed, sampled, value);
-          break;
-      }
-    }
-#endif
-  }
-  // Binary domain: OR(v)^2 = OR(v), so the point estimate is itself the
-  // unbiased second-moment estimate.
-  double EstimateSecondMoment(const Outcome& outcome) const override {
-    return Estimate(outcome);
-  }
-  void EstimateSecondMomentMany(BatchView batch, double* out) const override {
-    EstimateMany(batch, out);
-  }
-  void EstimateWithVarianceMany(BatchView batch, double* est,
-                                double* var) const override {
-    EstimateMany(batch, est);
-    BinaryVarianceFromEstimates(est, batch.size, var);
   }
   Result<double> Variance(const std::vector<double>& values) const override {
     PIE_RETURN_IF_ERROR(RequireR(static_cast<int>(values.size()), 2));
@@ -1585,85 +1001,49 @@ class OrWeightedTwoKernel : public EstimatorKernel {
 };
 
 /// OR over r weighted PPS samples with a uniform threshold, HT or L.
-class OrWeightedUniformKernel : public EstimatorKernel {
+class OrWeightedUniformKernel
+    : public BlockKernel<OrWeightedUniformKernel, SecondMoment::kEstimate> {
  public:
   OrWeightedUniformKernel(int r, double tau, Family family)
-      : est_(r, tau), family_(family) {}
+      : BlockKernel(Scheme::kPps, r), est_(r, tau), family_(family) {}
   double Estimate(const Outcome& outcome) const override {
     PIE_DCHECK(outcome.scheme == Scheme::kPps);
     return family_ == Family::kHt ? est_.EstimateHt(outcome.pps)
                                   : est_.EstimateL(outcome.pps);
   }
-  void EstimateMany(BatchView batch, double* out) const override {
-    CheckBatchLayout(batch, Scheme::kPps, est_.r());
-#ifdef PIE_SIMD
-    // Map every row (keeping the mapping's checks), partition the block on
-    // the MAPPED flags, and run the family's row form only on rows that
-    // can estimate nonzero; the rest are exactly 0.
+  // Map every row (keeping the mapping's checks), partition the block on
+  // the MAPPED flags, and run the family's row form only on rows that can
+  // estimate nonzero; the rest are exactly 0.
+  void Block(BatchView block, double* est) const {
     const int r = est_.r();
     const size_t slab = static_cast<size_t>(r) * kPartitionBlockRows;
     std::vector<double> p_blk(slab);
     std::vector<uint8_t> s_blk(slab);
     std::vector<double> v_blk(slab);
-    for (int base = 0; base < batch.size; base += kPartitionBlockRows) {
-      const int n = std::min(kPartitionBlockRows, batch.size - base);
-      for (int i = 0; i < n; ++i) {
-        const int row = base + i;
-        MapBinaryPpsRowToOblivious(
-            batch.param_row(row), batch.seed_row(row), batch.sampled_row(row),
-            batch.value_row(row), r, p_blk.data() + i * r,
-            s_blk.data() + i * r, v_blk.data() + i * r);
+    for (int i = 0; i < block.size; ++i) {
+      MapBinaryPpsRowToOblivious(
+          block.param_row(i), block.seed_row(i), block.sampled_row(i),
+          block.value_row(i), r, p_blk.data() + i * r, s_blk.data() + i * r,
+          v_blk.data() + i * r);
+    }
+    AllSampledPartition part;
+    if (family_ == Family::kHt) {
+      PartitionAllSampled(s_blk.data(), r, block.size, &part);
+      ScatterConstant(0.0, part.rest, part.rest_count, est);
+      for (int k = 0; k < part.count; ++k) {
+        const int i = part.idx[k];
+        est[i] = OrHtEstimateRow(p_blk.data() + i * r, s_blk.data() + i * r,
+                                 v_blk.data() + i * r, r);
       }
-      AllSampledPartition part;
-      if (family_ == Family::kHt) {
-        PartitionAllSampled(s_blk.data(), r, n, &part);
-        ScatterConstant(0.0, part.rest, part.rest_count, out + base);
-        for (int k = 0; k < part.count; ++k) {
-          const int i = part.idx[k];
-          out[base + i] = OrHtEstimateRow(p_blk.data() + i * r,
-                                          s_blk.data() + i * r,
-                                          v_blk.data() + i * r, r);
-        }
-      } else {
-        PartitionAnySampled(s_blk.data(), r, n, &part);
-        ScatterConstant(0.0, part.rest, part.rest_count, out + base);
-        for (int k = 0; k < part.count; ++k) {
-          const int i = part.idx[k];
-          out[base + i] = est_.or_l().EstimateRow(s_blk.data() + i * r,
-                                                  v_blk.data() + i * r);
-        }
+    } else {
+      PartitionAnySampled(s_blk.data(), r, block.size, &part);
+      ScatterConstant(0.0, part.rest, part.rest_count, est);
+      for (int k = 0; k < part.count; ++k) {
+        const int i = part.idx[k];
+        est[i] = est_.or_l().EstimateRow(s_blk.data() + i * r,
+                                         v_blk.data() + i * r);
       }
     }
-#else
-    std::vector<double> p(static_cast<size_t>(est_.r()));
-    std::vector<uint8_t> s(static_cast<size_t>(est_.r()));
-    std::vector<double> v(static_cast<size_t>(est_.r()));
-    for (int i = 0; i < batch.size; ++i) {
-      out[i] = family_ == Family::kHt
-                   ? est_.EstimateHtRow(batch.param_row(i),
-                                        batch.seed_row(i),
-                                        batch.sampled_row(i),
-                                        batch.value_row(i), p.data(),
-                                        s.data(), v.data())
-                   : est_.EstimateLRow(batch.param_row(i),
-                                       batch.seed_row(i),
-                                       batch.sampled_row(i),
-                                       batch.value_row(i), p.data(),
-                                       s.data(), v.data());
-    }
-#endif
-  }
-  // Binary domain: OR(v)^2 = OR(v) (see OrWeightedTwoKernel).
-  double EstimateSecondMoment(const Outcome& outcome) const override {
-    return Estimate(outcome);
-  }
-  void EstimateSecondMomentMany(BatchView batch, double* out) const override {
-    EstimateMany(batch, out);
-  }
-  void EstimateWithVarianceMany(BatchView batch, double* est,
-                                double* var) const override {
-    EstimateMany(batch, est);
-    BinaryVarianceFromEstimates(est, batch.size, var);
   }
   Result<double> Variance(const std::vector<double>& values) const override {
     PIE_RETURN_IF_ERROR(RequireR(static_cast<int>(values.size()), est_.r()));
@@ -1687,60 +1067,60 @@ class OrWeightedUniformKernel : public EstimatorKernel {
   Family family_;
 };
 
-class MinHtWeightedKernel : public EstimatorKernel {
+class MinHtWeightedKernel : public BlockKernel<MinHtWeightedKernel> {
  public:
   explicit MinHtWeightedKernel(std::vector<double> tau)
-      : est_(std::move(tau)) {}
+      : BlockKernel(Scheme::kPps, static_cast<int>(tau.size())),
+        est_(std::move(tau)) {}
   double Estimate(const Outcome& outcome) const override {
     PIE_DCHECK(outcome.scheme == Scheme::kPps);
     return est_.Estimate(outcome.pps);
-  }
-  void EstimateMany(BatchView batch, double* out) const override {
-    CheckBatchLayout(batch, Scheme::kPps,
-                     static_cast<int>(est_.tau().size()));
-#ifdef PIE_SIMD
-    MinHtBlocks(batch, est_.tau(), out, nullptr);
-#else
-    for (int i = 0; i < batch.size; ++i) {
-      out[i] = est_.EstimateRow(batch.sampled_row(i), batch.value_row(i));
-    }
-#endif
   }
   double EstimateSecondMoment(const Outcome& outcome) const override {
     PIE_DCHECK(outcome.scheme == Scheme::kPps);
     return est_.SecondMomentRow(outcome.pps.sampled.data(),
                                 outcome.pps.value.data());
   }
-  void EstimateSecondMomentMany(BatchView batch, double* out) const override {
-    CheckBatchLayout(batch, Scheme::kPps,
-                     static_cast<int>(est_.tau().size()));
-#ifdef PIE_SIMD
-    MinHtBlocks(batch, est_.tau(), nullptr, out);
-#else
-    for (int i = 0; i < batch.size; ++i) {
-      out[i] = est_.SecondMomentRow(batch.sampled_row(i),
-                                    batch.value_row(i));
+  /// Dense all-sampled lanes: survivors accumulate the columnwise min and
+  /// all-sampled probability in entry order (mirroring AllSampledMin);
+  /// everything else estimates 0.
+  void Block(BatchView block, double* est, double* second) const {
+    const std::vector<double>& tau = est_.tau();
+    const int r = static_cast<int>(tau.size());
+    AllSampledPartition part;
+    PartitionAllSampled(block.sampled, r, block.size, &part);
+    if (est != nullptr) {
+      ScatterConstant(0.0, part.rest, part.rest_count, est);
     }
-#endif
-  }
-  void EstimateWithVarianceMany(BatchView batch, double* est,
-                                double* var) const override {
-    CheckBatchLayout(batch, Scheme::kPps,
-                     static_cast<int>(est_.tau().size()));
-#ifdef PIE_SIMD
-    MinHtBlocks(batch, est_.tau(), est, var);
-    for (int i = 0; i < batch.size; ++i) {
-      var[i] = est[i] * est[i] - var[i];
+    if (second != nullptr) {
+      ScatterConstant(0.0, part.rest, part.rest_count, second);
     }
-#else
-    for (int i = 0; i < batch.size; ++i) {
-      double second;
-      est_.EstimateWithSecondMomentRow(batch.sampled_row(i),
-                                       batch.value_row(i), &est[i],
-                                       &second);
-      var[i] = est[i] * est[i] - second;
+    double col[kPartitionBlockRows];
+    double mn[kPartitionBlockRows];
+    double prob[kPartitionBlockRows];
+    for (int j = 0; j < r; ++j) {
+      GatherColumn(block.value, r, j, part.idx, part.count, col);
+      const double tau_j = tau[static_cast<size_t>(j)];
+      if (j == 0) {
+        for (int k = 0; k < part.count; ++k) {
+          mn[k] = col[k];
+          prob[k] = Min1(col[k] / tau_j);
+        }
+      } else {
+        for (int k = 0; k < part.count; ++k) {
+          mn[k] = std::fmin(mn[k], col[k]);
+          prob[k] *= Min1(col[k] / tau_j);
+        }
+      }
     }
-#endif
+    double e[kPartitionBlockRows];
+    double s[kPartitionBlockRows];
+    for (int k = 0; k < part.count; ++k) {
+      e[k] = mn[k] / prob[k];
+      s[k] = mn[k] * mn[k] / prob[k];
+    }
+    if (est != nullptr) Scatter(e, part.idx, part.count, est);
+    if (second != nullptr) Scatter(s, part.idx, part.count, second);
   }
   Result<double> Variance(const std::vector<double>& values) const override {
     return est_.Variance(values);

@@ -131,13 +131,17 @@ class WorkerPool::Impl {
 
   void Run(Job* job) {
     job->publish_ns = obs::MonotonicNowNs();
+    // Read the budget under the lock: once the job is queued, helpers
+    // decrement it under mu_.
+    int helper_budget;
     {
       std::lock_guard<std::mutex> lock(mu_);
       queue_.push_back(job);
       job->queued = true;
       ++jobs_published_;
+      helper_budget = job->helper_budget;
     }
-    if (job->helper_budget == 1) {
+    if (helper_budget == 1) {
       work_cv_.notify_one();
     } else {
       work_cv_.notify_all();

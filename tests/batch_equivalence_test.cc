@@ -2,10 +2,12 @@
 // scalar path: for every (function, scheme, regime, family) spec the
 // registry can instantiate, EstimateMany over a columnar OutcomeBatch must
 // reproduce per-outcome Estimate exactly, on randomized batches including
-// empty and single-element ones. This is the invariant that lets every
-// driver (aggregate scans, store queries) switch to the columnar API
-// without perturbing results -- the store's determinism guarantees (PR 2)
-// ride on it.
+// empty and single-element ones. Each kernel has one batched path (its
+// pattern-partitioned block loop, compiled with or without the PIE_SIMD
+// flags) and the scalar Estimate from src/core is its reference. This is
+// the invariant that lets every driver (aggregate scans, store queries)
+// switch to the columnar API without perturbing results -- the store's
+// determinism guarantees ride on it.
 
 #include <cmath>
 #include <cstdint>

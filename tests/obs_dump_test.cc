@@ -251,8 +251,7 @@ TEST(ObsDumpTest, PrometheusTextIsStructurallyValidAndCoversGoldenFamilies) {
         << key << " +Inf bucket must equal _count";
   }
 
-  // Pass 3: the golden family list. Presence, type, and label keys; rows
-  // flagged `simd` are only required in PIE_SIMD builds.
+  // Pass 3: the golden family list. Presence, type, and label keys.
   const std::string golden_path =
       std::string(PIE_TEST_SOURCE_DIR) + "/tests/golden/metrics_families.txt";
   std::ifstream golden(golden_path);
@@ -271,10 +270,6 @@ TEST(ObsDumpTest, PrometheusTextIsStructurallyValidAndCoversGoldenFamilies) {
     const std::string& name = fields[0];
     const std::string& want_type = fields[1];
     const std::string want_labels = fields.size() > 2 ? fields[2] : "";
-    const std::string flags = fields.size() > 3 ? fields[3] : "";
-#ifndef PIE_SIMD
-    if (flags.find("simd") != std::string::npos) continue;
-#endif
     ++required;
     EXPECT_EQ(type_of.count(name), 1u) << name << " missing from dump";
     if (type_of.count(name) > 0) {

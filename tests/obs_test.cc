@@ -128,13 +128,14 @@ TEST(ObsMetricsTest, CallbackGaugeEvaluatesAtSnapshotTime) {
   std::atomic<double> source{7.0};
   reg.RegisterCallbackGauge("pie_test_callback_gauge", "h",
                             [&source] { return source.load(); });
-  const obs::MetricValue* first =
-      reg.Snapshot().Find("pie_test_callback_gauge");
+  // Find points into the snapshot, so each snapshot must outlive it.
+  const obs::MetricsSnapshot before = reg.Snapshot();
+  const obs::MetricValue* first = before.Find("pie_test_callback_gauge");
   ASSERT_NE(first, nullptr);
   EXPECT_EQ(first->value, 7.0);
   source.store(9.0);
-  const obs::MetricValue* second =
-      reg.Snapshot().Find("pie_test_callback_gauge");
+  const obs::MetricsSnapshot after = reg.Snapshot();
+  const obs::MetricValue* second = after.Find("pie_test_callback_gauge");
   ASSERT_NE(second, nullptr);
   EXPECT_EQ(second->value, 9.0);
   // Detach from the stack-local before the test returns: later snapshots

@@ -28,8 +28,14 @@ namespace {
 
 namespace fs = std::filesystem;
 
+/// A fresh directory private to the running test: ctest runs each test
+/// as its own process, in parallel, so tests of one fixture must not share
+/// a directory.
 std::string FreshDir(const std::string& name) {
-  const std::string dir = testing::TempDir() + "/persist_" + name;
+  const std::string dir =
+      testing::TempDir() + "/persist_" +
+      testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+      name;
   fs::remove_all(dir);
   return dir;
 }

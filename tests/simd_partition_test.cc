@@ -1,13 +1,14 @@
 // Pattern-partition units plus the registry-wide crafted-pattern bitwise
-// sweep behind the PIE_SIMD contract: for every registered kernel, the
-// batch paths (EstimateMany / EstimateSecondMomentMany /
-// EstimateWithVarianceMany -- pattern-partitioned branch-free loops when
-// PIE_SIMD is on, the portable loops when off) must be BITWISE identical
-// to the scalar per-row Estimate / EstimateSecondMoment path on batches of
-// every pattern shape: empty, single-row, all-sampled, none-sampled, and
-// mixed patterns crossing partition-block boundaries. Run in both CMake
-// configs (the scalar-fallback CI job builds -DPIE_SIMD=OFF), this pins
-// partitioned == fallback == scalar through the shared scalar reference.
+// sweep: for every registered kernel, the batch paths (EstimateMany /
+// EstimateSecondMomentMany / EstimateWithVarianceMany -- one
+// pattern-partitioned block driver, the same source in every build) must
+// be BITWISE identical to the scalar per-row Estimate /
+// EstimateSecondMoment path from src/core on batches of every pattern
+// shape: empty, single-row, all-sampled, none-sampled, and mixed patterns
+// crossing partition-block boundaries. Run in both CMake configs (the
+// scalar-fallback CI job builds -DPIE_SIMD=OFF, without the AVX2 and
+// vectorizer flags), this pins both compilations of the block loops to
+// the shared scalar reference.
 
 #include <cmath>
 #include <cstdint>
