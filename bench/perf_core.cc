@@ -341,57 +341,6 @@ void BM_CoreScanR2Simd(benchmark::State& state) {
 }
 BENCHMARK(BM_CoreScanR2Simd);
 
-// ---------------------------------------------------------------------------
-// Log-heavy weighted max^(L) slab scan: every row is constructed to land in
-// the eq. 29/30 log regimes of MaxLWeightedTwo (values strictly inside
-// (0, tau) on both entries, both sampled), so the scan rate is dominated by
-// the per-lane logarithm -- std::log in the default tree, FastLog under
-// -DPIE_FAST_LOG=ON. CI's bench-smoke job runs this benchmark in both trees
-// and extracts fastlog_keys_per_s and fastlog_speedup (fast-log rate over
-// the default tree's rate) into BENCH_core.json, gating the tier at >= 1.2x.
-// ---------------------------------------------------------------------------
-
-const SimdScanFixture& GetLogHeavyScanFixture() {
-  static const SimdScanFixture* fixture = [] {
-    auto* f = new SimdScanFixture();
-    const SamplingParams params({10.0, 8.0});
-    f->kernel = EstimationEngine::Global()
-                    .Kernel({Function::kMax, Scheme::kPps,
-                             Regime::kKnownSeeds, Family::kL},
-                            params)
-                    .value();
-    Rng rng(23);
-    f->batch.Reset(Scheme::kPps, 2);
-    std::vector<double> values(2);
-    for (int i = 0; i < kScanSize; ++i) {
-      // hi = v0 < 9.9 < tau_hi and lo = v1 < 0.8 * v0 < 7.92 < tau_lo, so
-      // every both-sampled outcome sits strictly inside the log regimes
-      // (~80% eq. 29, ~20% eq. 30). Rejection-sample until both entries
-      // are in the sample; unsampled patterns would short-circuit the log.
-      PpsOutcome outcome;
-      do {
-        values[0] = rng.UniformDouble(0.5, 9.9);
-        values[1] = values[0] * rng.UniformDouble(0.1, 0.8);
-        outcome = SamplePps(values, params.per_entry, rng);
-      } while (outcome.sampled[0] == 0 || outcome.sampled[1] == 0);
-      f->outcomes.push_back(Outcome::FromPps(std::move(outcome)));
-      f->batch.Append(f->outcomes.back().pps);
-    }
-    return f;
-  }();
-  return *fixture;
-}
-
-void BM_CoreScanMaxLWeightedLogHeavy(benchmark::State& state) {
-  const SimdScanFixture& f = GetLogHeavyScanFixture();
-  benchmark::DoNotOptimize(EstimateSum(*f.kernel, f.batch));  // warmup
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(EstimateSum(*f.kernel, f.batch));
-  }
-  state.SetItemsProcessed(state.iterations() * kScanSize);
-}
-BENCHMARK(BM_CoreScanMaxLWeightedLogHeavy);
-
 void BM_DeriverCompileBinaryR3(benchmark::State& state) {
   for (auto _ : state) {
     auto compiled = CompileModel(MakeObliviousModel<double>(

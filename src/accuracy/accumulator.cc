@@ -22,14 +22,6 @@ void AccuracyAccumulator::AddBatchImpl(const EstimatorKernel& kernel,
   per_key_.Merge(partial.per_key);
 }
 
-IntervalEstimate EstimateSumWithCi(const EstimatorKernel& kernel,
-                                   const OutcomeBatch& batch,
-                                   const CiPolicy& policy) {
-  AccuracyAccumulator acc;
-  acc.AddBatch(kernel, batch);
-  return acc.Interval(policy);
-}
-
 double DifferenceAccumulator::conservative_variance() const {
   const double sd_x = std::sqrt(std::fmax(0.0, var_x_));
   const double sd_y = std::sqrt(std::fmax(0.0, var_y_));

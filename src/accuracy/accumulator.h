@@ -88,11 +88,6 @@ class AccuracyAccumulator {
   MomentAccumulator per_key_;
 };
 
-/// One-shot convenience: scan the batch and return the interval.
-IntervalEstimate EstimateSumWithCi(const EstimatorKernel& kernel,
-                                   const OutcomeBatch& batch,
-                                   const CiPolicy& policy = {});
-
 /// Accumulates a difference aggregate X - Y whose two estimators scan the
 /// SAME batch (one shared sample per key), including the exact covariance
 /// cross term the conservative sd(X) + sd(Y) width throws away:

@@ -20,7 +20,6 @@
 #include <functional>
 #include <vector>
 
-#include "accuracy/confidence.h"
 #include "engine/kernel.h"
 #include "util/hashing.h"
 #include "util/status.h"
@@ -123,14 +122,5 @@ struct DistinctEstimateWithCi {
 DistinctEstimateWithCi DistinctLEstimateWithCi(const DistinctClassification& c,
                                                double p1, double p2,
                                                double z = 1.96);
-
-/// Distinct-union estimates with error bars over store-snapshot instances:
-/// the accuracy-layer path (per-key unbiased variance in the same columnar
-/// scan; see QueryService::DistinctUnion). Unlike the plug-in interval
-/// above, these bars need no Jaccard plug-in -- the per-key second-moment
-/// kernels make the variance estimate itself unbiased.
-DualInterval EstimateDistinctUnionWithCi(const StoreSnapshot& snapshot,
-                                         const std::vector<int>& instances,
-                                         const CiPolicy& policy = {});
 
 }  // namespace pie

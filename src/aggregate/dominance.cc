@@ -3,7 +3,6 @@
 #include <cmath>
 #include <map>
 
-#include "store/query_service.h"
 #include "util/check.h"
 
 namespace pie {
@@ -60,56 +59,6 @@ Result<SelectedMaxDominance> EstimateMaxDominanceAuto(
   out.spec = *chosen;
   out.estimate = EstimateSum(**kernel, batch);
   return out;
-}
-
-namespace {
-
-// Point-only bridge options: the borrowed synchronous scan additionally
-// skips the second-moment pass (these wrappers discard the error bars).
-QueryServiceOptions PointOnlyOptions() {
-  QueryServiceOptions options;
-  options.with_variance = false;
-  return options;
-}
-
-QueryServiceOptions CiOptions(const CiPolicy& policy) {
-  QueryServiceOptions options;
-  options.ci = policy;
-  return options;
-}
-
-}  // namespace
-
-MaxDominanceEstimates EstimateMaxDominance(const StoreSnapshot& snapshot,
-                                           int i1, int i2) {
-  const auto est =
-      QueryService::Borrowed(snapshot, PointOnlyOptions()).MaxDominance(i1, i2);
-  PIE_CHECK_OK(est.status());
-  return {est->ht.estimate, est->l.estimate};
-}
-
-DualInterval EstimateMaxDominanceWithCi(const StoreSnapshot& snapshot, int i1,
-                                        int i2, const CiPolicy& policy) {
-  const auto est =
-      QueryService::Borrowed(snapshot, CiOptions(policy)).MaxDominance(i1, i2);
-  PIE_CHECK_OK(est.status());
-  return *est;
-}
-
-double EstimateL1Distance(const StoreSnapshot& snapshot, int i1, int i2) {
-  const auto est =
-      QueryService::Borrowed(snapshot, PointOnlyOptions()).L1Distance(i1, i2);
-  PIE_CHECK_OK(est.status());
-  return est->estimate;
-}
-
-IntervalEstimate EstimateL1DistanceWithCi(const StoreSnapshot& snapshot,
-                                          int i1, int i2,
-                                          const CiPolicy& policy) {
-  const auto est =
-      QueryService::Borrowed(snapshot, CiOptions(policy)).L1Distance(i1, i2);
-  PIE_CHECK_OK(est.status());
-  return *est;
 }
 
 MaxDominanceVariance AnalyticMaxDominanceVariance(

@@ -17,7 +17,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "accuracy/confidence.h"
 #include "accuracy/selector.h"
 #include "aggregate/dataset.h"
 #include "aggregate/sketch.h"
@@ -25,8 +24,6 @@
 #include "util/check.h"
 
 namespace pie {
-
-class StoreSnapshot;
 
 /// Estimates of the max-dominance norm sum_h max(v1(h), v2(h)).
 struct MaxDominanceEstimates {
@@ -174,23 +171,6 @@ double EstimateMinDominanceHt(const PpsInstanceSketch& s1,
 /// estimator recovers exact values under weighted sampling).
 double EstimateL1Distance(const PpsInstanceSketch& s1,
                           const PpsInstanceSketch& s2);
-
-/// Store-ingested variants: the same aggregates over two instances of a
-/// SketchStore snapshot, answered by the store's QueryService (per-shard
-/// parallel OutcomeBatches through the engine, deterministic reduction).
-MaxDominanceEstimates EstimateMaxDominance(const StoreSnapshot& snapshot,
-                                           int i1, int i2);
-double EstimateL1Distance(const StoreSnapshot& snapshot, int i1, int i2);
-
-/// The same snapshot aggregates with error bars from the accuracy layer:
-/// per-key unbiased variance estimates accumulated in the same columnar
-/// scan (see src/accuracy/). The point estimates are bitwise identical to
-/// the plain variants above.
-DualInterval EstimateMaxDominanceWithCi(const StoreSnapshot& snapshot, int i1,
-                                        int i2, const CiPolicy& policy = {});
-IntervalEstimate EstimateL1DistanceWithCi(const StoreSnapshot& snapshot,
-                                          int i1, int i2,
-                                          const CiPolicy& policy = {});
 
 /// Exact (analytic) variances of the max-dominance estimators on a two-
 /// instance data set: per-key variance formulas summed over keys

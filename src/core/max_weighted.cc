@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/fast_log.h"
 #include "util/check.h"
 #include "util/quadrature.h"
 
@@ -58,7 +57,7 @@ double MaxLWeightedTwo::EvalSorted(double hi, double lo, double tau_hi,
     // positive) and yields +infinity.
     return tau_hi * tau_lo / (b - hi) +
            tau_hi * tau_lo * (tau_hi - hi) / (hi * b) *
-               PieLog((b - lo) * hi / (lo * (b - hi))) +
+               std::log((b - lo) * hi / (lo * (b - hi))) +
            (hi - lo) * tau_hi * tau_lo * (tau_hi - hi) /
                (hi * (b - lo) * (b - hi));
   }
@@ -71,7 +70,7 @@ double MaxLWeightedTwo::EvalSorted(double hi, double lo, double tau_hi,
   // restores both. See DESIGN.md (errata).
   return tau_hi + tau_lo - tau_hi * tau_lo / hi +
          tau_hi * tau_lo * (tau_hi - hi) / (hi * b) *
-             PieLog((b - lo) * tau_lo / (lo * tau_hi)) +
+             std::log((b - lo) * tau_lo / (lo * tau_hi)) +
          tau_lo * (tau_hi - hi) * (tau_lo - lo) / ((b - lo) * hi);
 }
 

@@ -189,12 +189,6 @@ int EstimationEngine::cache_size() const {
   return static_cast<int>(cache_.size());
 }
 
-uint32_t EstimatorTierTag() {
-#ifdef PIE_FAST_LOG
-  return 1;
-#else
-  return 0;
-#endif
-}
+uint32_t EstimatorTierTag() { return 0; }
 
 }  // namespace pie

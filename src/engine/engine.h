@@ -221,13 +221,11 @@ class EstimationEngine {
   std::map<CacheKey, KernelHandle, CacheKeyLess> cache_;
 };
 
-/// The estimator-versioning tier this binary evaluates with: 0 is the
-/// default scalar-libm log tier, 1 is the PIE_FAST_LOG vectorizable
-/// polynomial tier (bitwise-deterministic but intentionally NOT
-/// bit-identical to tier 0 on the eq 29/30 log-regime lanes; see
-/// core/fast_log.h). Persisted checkpoints record this tag in their
-/// headers so a recovered sketch's provenance states which estimator bits
-/// produced -- and will reproduce -- its query answers.
+/// The estimator-versioning tier this binary evaluates with: always 0, the
+/// std::log tier. Persisted checkpoints record this tag in their headers;
+/// 1 marks files written by the retired polynomial-log tier, whose eq 29/30
+/// log-regime lanes are not bit-identical to tier 0, so recovery and
+/// merge refuse to mix the two.
 uint32_t EstimatorTierTag();
 
 }  // namespace pie

@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/fast_log.h"
 #include "core/functions.h"
 #include "core/ht.h"
 #include "core/max_l_three.h"
@@ -274,10 +273,8 @@ void CheckR2BinarySampled(BatchView block) {
 /// lanes. Pass 1 orders each pair by blends and resolves the log-free
 /// regimes (hi <= 0; equation (26); the constant regime hi >= tau_hi); the
 /// two log regimes (equations (29)/(30)) evaluate in a second pass so the
-/// log -- scalar libm in the default tier for bitwise stability, the
-/// vectorizable FastLog lanes under PIE_FAST_LOG (core/fast_log.h) -- runs
-/// only on lanes that need it. Regime tests replicate EvalSorted's check
-/// order exactly.
+/// scalar std::log runs only on lanes that need it. Regime tests replicate
+/// EvalSorted's check order exactly.
 inline void EvalSortedDense(const double* d1, const double* d2, int n,
                             double tau1, double tau2, double* out) {
   double hi_a[kPartitionBlockRows];
@@ -332,7 +329,6 @@ inline void EvalSortedDense(const double* d1, const double* d2, int n,
       obs::Counter& rows;
       obs::Counter& eq29;
       obs::Counter& eq30;
-      obs::Counter& fastlog;
     };
     static LogLaneCounters* const counters = [] {
       auto& reg = obs::MetricsRegistry::Global();
@@ -345,19 +341,11 @@ inline void EvalSortedDense(const double* d1, const double* d2, int n,
                          "equation", {{"eq", "29"}}),
           reg.GetCounter("pie_simd_log_lanes_total",
                          "Rows requiring a scalar std::log, by closed-form "
-                         "equation", {{"eq", "30"}}),
-          reg.GetCounter("pie_fastlog_lanes_total",
-                         "Log-regime lanes evaluated by the vectorized "
-                         "FastLog tier (PIE_FAST_LOG)")};
+                         "equation", {{"eq", "30"}})};
     }();
     counters->rows.Add(static_cast<uint64_t>(n));
     if (n29 > 0) counters->eq29.Add(static_cast<uint64_t>(n29));
     if (n30 > 0) counters->eq30.Add(static_cast<uint64_t>(n30));
-#ifdef PIE_FAST_LOG
-    if (n29 + n30 > 0) counters->fastlog.Add(static_cast<uint64_t>(n29 + n30));
-#else
-    (void)counters->fastlog;
-#endif
   }
   double hi_d[kPartitionBlockRows], lo_d[kPartitionBlockRows];
   double th_d[kPartitionBlockRows], tl_d[kPartitionBlockRows];
@@ -371,7 +359,7 @@ inline void EvalSortedDense(const double* d1, const double* d2, int n,
       const double b = th_d[k] + tl_d[k];
       lg[k] = (b - lo_d[k]) * hi_d[k] / (lo_d[k] * (b - hi_d[k]));
     }
-    for (int k = 0; k < n29; ++k) lg[k] = PieLog(lg[k]);
+    for (int k = 0; k < n29; ++k) lg[k] = std::log(lg[k]);
     for (int k = 0; k < n29; ++k) {
       const double hi = hi_d[k], lo = lo_d[k];
       const double tau_hi = th_d[k], tau_lo = tl_d[k];
@@ -392,7 +380,7 @@ inline void EvalSortedDense(const double* d1, const double* d2, int n,
       const double b = th_d[k] + tl_d[k];
       lg[k] = (b - lo_d[k]) * tl_d[k] / (lo_d[k] * th_d[k]);
     }
-    for (int k = 0; k < n30; ++k) lg[k] = PieLog(lg[k]);
+    for (int k = 0; k < n30; ++k) lg[k] = std::log(lg[k]);
     for (int k = 0; k < n30; ++k) {
       const double hi = hi_d[k], lo = lo_d[k];
       const double tau_hi = th_d[k], tau_lo = tl_d[k];

@@ -215,12 +215,6 @@ FileSystem& ResolveFs(FileSystem* fs) {
   return fs != nullptr ? *fs : FileSystem::Default();
 }
 
-}  // namespace
-
-CheckpointOptions::CheckpointOptions() : tier_tag(EstimatorTierTag()) {}
-
-namespace {
-
 /// Parses exactly 16 lowercase hex digits at name[at..at+16).
 bool ParseHex16(const std::string& name, size_t at, uint64_t* out) {
   uint64_t value = 0;
@@ -304,12 +298,12 @@ Status WriteCheckpoint(const StoreSnapshot& snapshot, const std::string& dir,
 
   Manifest manifest;
   manifest.seq = seq;
-  manifest.tier_tag = options.tier_tag;
+  manifest.tier_tag = EstimatorTierTag();
   manifest.options = snapshot.options();
   uint64_t total_bytes = 0;
   for (int s = 0; s < snapshot.num_shards(); ++s) {
     const std::string bytes =
-        EncodeShardFile(options.tier_tag, static_cast<uint32_t>(s),
+        EncodeShardFile(manifest.tier_tag, static_cast<uint32_t>(s),
                         static_cast<uint32_t>(snapshot.num_shards()),
                         snapshot.Shard(s).sketches());
     // Retry only the transient class: WriteFileAtomic is idempotent (the

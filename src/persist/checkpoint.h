@@ -41,22 +41,14 @@ namespace pie::persist {
 
 /// Per-checkpoint knobs. Defaults are right for production; tests override.
 struct CheckpointOptions {
-  /// Estimator tier recorded in every file header (provenance: which
-  /// estimator bits produced this store's query answers). Defaults to the
-  /// writing binary's EstimatorTierTag(); the format-pinning golden test
-  /// overrides it so pinned bytes are identical in every build config.
-  uint32_t tier_tag;
-
   /// Filesystem all checkpoint I/O goes through; null means
   /// FileSystem::Default(). Tests inject FaultInjectingFs here.
   FileSystem* fs = nullptr;
 
   /// Retry posture for transient (Unavailable) write failures; defaults
-  /// to RetryPolicy::FromEnv() (PIE_PERSIST_RETRIES /
-  /// PIE_PERSIST_RETRY_BASE_MS).
+  /// to RetryPolicy's built-in values (RetryPolicy::FromEnv() reads
+  /// PIE_PERSIST_RETRIES / PIE_PERSIST_RETRY_BASE_MS instead).
   RetryPolicy retry;
-
-  CheckpointOptions();
 };
 
 /// Writes `snapshot` into `dir` as one new generation: shard files first

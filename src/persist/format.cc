@@ -159,8 +159,7 @@ Result<std::pair<int, StreamingPpsSketch>> DeserializePpsSketch(
     if (!keys.insert(e.key).second) {
       return Corrupt("PPS block with duplicate key");
     }
-    if (!std::isfinite(e.weight) || e.weight <= 0 ||
-        e.weight < seed(e.key) * tau) {
+    if (!IsSampleableWeight(e.weight) || e.weight < seed(e.key) * tau) {
       return Corrupt("PPS entry violates the inclusion invariant");
     }
   }
@@ -222,7 +221,7 @@ Result<StreamingBottomkSketch> DeserializeBottomkSketch(WireReader* r) {
     if (!keys.insert(item.key).second) {
       return Corrupt("bottom-k block with duplicate key");
     }
-    if (!std::isfinite(item.weight) || item.weight <= 0) {
+    if (!IsSampleableWeight(item.weight)) {
       return Corrupt("bottom-k slot with nonpositive weight");
     }
     slots.push_back(

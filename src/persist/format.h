@@ -9,7 +9,9 @@
 //     u64  magic           "PIEPRST1"
 //     u32  format version  1
 //     u32  file type       1 = shard file, 2 = manifest
-//     u32  estimator tier  EstimatorTierTag() of the writing binary
+//     u32  estimator tier  EstimatorTierTag() of the writing binary: always
+//                          0; 1 marked files from the retired polynomial-log
+//                          tier
 //     u32  header crc      CRC32C of the 20 bytes above
 //
 //   PPS sketch block ("PPS1")

@@ -92,7 +92,7 @@ void StreamingBottomkSketch::Push(const BottomKSketch::Entry& entry) {
 
 void StreamingBottomkSketch::Update(uint64_t key, double weight) {
   ++num_updates_;
-  if (weight <= 0) return;  // rank +infinity, never retained
+  if (!IsSampleableWeight(weight)) return;  // never retained
   Push({key, weight, RankValue(family_, weight, seed_fn_(key))});
 }
 

@@ -35,6 +35,14 @@
 
 namespace pie {
 
+/// True for the weights a streaming sketch can store: finite and positive.
+/// NaN, infinities and nonpositive weights are counted but never stored
+/// (an infinite or NaN weight would poison every estimate over its key and
+/// fail the persisted inclusion invariant on recovery).
+inline bool IsSampleableWeight(double weight) {
+  return weight > 0 && std::isfinite(weight);
+}
+
 /// Incremental Poisson PPS sketch of one instance: key h is included iff
 /// v(h) >= u(h) * tau, i.e. with probability min(1, v(h)/tau). Produces
 /// the same sample set as PpsInstanceSketch::Build on any arrival order
@@ -54,11 +62,12 @@ class StreamingPpsSketch {
                                       std::vector<WeightedItem> entries,
                                       uint64_t num_updates);
 
-  /// Offers one (key, weight) record. Nonpositive weights are never
-  /// sampled (sparse representation) but still count toward num_updates().
+  /// Offers one (key, weight) record. Weights that fail
+  /// IsSampleableWeight are never sampled (sparse representation) but
+  /// still count toward num_updates().
   void Update(uint64_t key, double weight) {
     ++num_updates_;
-    if (weight <= 0) return;
+    if (!IsSampleableWeight(weight)) return;
     auto it = index_.find(key);
     if (it != index_.end()) {
       entries_[it->second].weight += weight;  // sampled keys stay sampled
@@ -78,7 +87,7 @@ class StreamingPpsSketch {
   uint64_t salt() const { return seed_fn_.salt(); }
   const SeedFunction& seed_fn() const { return seed_fn_; }
   int size() const { return static_cast<int>(entries_.size()); }
-  /// Number of Update() calls absorbed (including nonpositive-weight and
+  /// Number of Update() calls absorbed (including unsampleable-weight and
   /// merged-in ones); used by snapshot consistency checks.
   uint64_t num_updates() const { return num_updates_; }
 
@@ -147,8 +156,8 @@ class StreamingBottomkSketch {
       std::vector<BottomKSketch::Entry> slots, uint64_t num_updates);
 
   /// Offers one (key, weight) record. Keys must be distinct across the
-  /// stream (pre-aggregated records); zero weights rank at +infinity and
-  /// are never retained.
+  /// stream (pre-aggregated records); weights that fail
+  /// IsSampleableWeight are counted but never retained.
   void Update(uint64_t key, double weight);
 
   /// Folds `other` in. Both sketches must share k, family, and salt, and

@@ -7,7 +7,8 @@
 //  * the deterministic scan driver (engine/parallel_scan.h) produces the
 //    same bytes for 1, 2, and 8 threads -- fixed-size chunking plus a
 //    fixed-shape pairwise tree reduction make the output a function of the
-//    chunk size alone;
+//    chunk size alone -- on every kernel and on a log-heavy weighted
+//    max^(L) batch;
 //  * EstimateSum, AccuracyAccumulator, and ScanSum/ScanBatch agree
 //    bitwise on the same batch (one reduction definition across the
 //    codebase).
@@ -119,6 +120,28 @@ TEST(FusedScanTest, EstimateWithVarianceManyBitwiseMatchesTwoPasses) {
 // Deterministic parallel driver
 // ---------------------------------------------------------------------------
 
+void ExpectSameBitsForOneTwoAndEightThreads(const EstimatorKernel& kernel,
+                                            const BatchView& view) {
+  ScanOptions options;
+  options.num_threads = 1;
+  const ScanPartial one = ScanBatch(kernel, view, options);
+  for (const int threads : {2, 8}) {
+    options.num_threads = threads;
+    const ScanPartial many = ScanBatch(kernel, view, options);
+    EXPECT_TRUE(BitwiseEqual(many.sum, one.sum))
+        << kernel.name() << " sum @" << threads;
+    EXPECT_TRUE(BitwiseEqual(many.variance, one.variance))
+        << kernel.name() << " variance @" << threads;
+    EXPECT_EQ(many.per_key.count(), one.per_key.count());
+    EXPECT_TRUE(BitwiseEqual(many.per_key.mean(), one.per_key.mean()))
+        << kernel.name() << " mean @" << threads;
+    EXPECT_TRUE(BitwiseEqual(many.per_key.m2(), one.per_key.m2()))
+        << kernel.name() << " m2 @" << threads;
+    EXPECT_TRUE(BitwiseEqual(ScanSum(kernel, view, threads), one.sum))
+        << kernel.name() << " ScanSum @" << threads;
+  }
+}
+
 TEST(ParallelScanTest, SameBitsForOneTwoAndEightThreads) {
   for (const auto& entry : KernelRegistry::Global().Entries()) {
     const auto& params = entry.example_params.front();
@@ -128,27 +151,29 @@ TEST(ParallelScanTest, SameBitsForOneTwoAndEightThreads) {
     OutcomeBatch batch;
     // Spans many chunks, with a ragged tail (not a multiple of 256).
     FillRandomBatch(entry, params, 2011, rng, &batch);
+    ExpectSameBitsForOneTwoAndEightThreads(**kernel, batch.view());
+  }
 
-    ScanOptions options;
-    options.num_threads = 1;
-    const ScanPartial one = ScanBatch(**kernel, batch.view(), options);
-    for (const int threads : {2, 8}) {
-      options.num_threads = threads;
-      const ScanPartial many = ScanBatch(**kernel, batch.view(), options);
-      EXPECT_TRUE(BitwiseEqual(many.sum, one.sum))
-          << (*kernel)->name() << " sum @" << threads;
-      EXPECT_TRUE(BitwiseEqual(many.variance, one.variance))
-          << (*kernel)->name() << " variance @" << threads;
-      EXPECT_EQ(many.per_key.count(), one.per_key.count());
-      EXPECT_TRUE(BitwiseEqual(many.per_key.mean(), one.per_key.mean()))
-          << (*kernel)->name() << " mean @" << threads;
-      EXPECT_TRUE(BitwiseEqual(many.per_key.m2(), one.per_key.m2()))
-          << (*kernel)->name() << " m2 @" << threads;
-      EXPECT_TRUE(
-          BitwiseEqual(ScanSum(**kernel, batch.view(), threads), one.sum))
-          << (*kernel)->name() << " ScanSum @" << threads;
+  // Log-heavy weighted max^(L) batch: both entries sampled and below their
+  // thresholds, so every row takes a std::log closed form (eqs. 29/30).
+  const SamplingParams params({10.0, 8.0});
+  auto kernel = KernelRegistry::Global().Create(
+      {Function::kMax, Scheme::kPps, Regime::kKnownSeeds, Family::kL},
+      params);
+  ASSERT_TRUE(kernel.ok()) << kernel.status().ToString();
+  Rng rng(107);
+  OutcomeBatch batch;
+  batch.Reset(Scheme::kPps, 2);
+  std::vector<double> values(2);
+  while (batch.size() < 4103) {
+    values[0] = rng.UniformDouble(0.5, 9.9);
+    values[1] = values[0] * rng.UniformDouble(0.1, 0.8);
+    const PpsOutcome outcome = SamplePps(values, params.per_entry, rng);
+    if (outcome.sampled[0] != 0 && outcome.sampled[1] != 0) {
+      batch.Append(outcome);
     }
   }
+  ExpectSameBitsForOneTwoAndEightThreads(**kernel, batch.view());
 }
 
 TEST(ParallelScanTest, EstimateSumAndAccumulatorShareTheReduction) {

@@ -519,8 +519,9 @@ TEST_F(CorruptionSweepTest, SketchBlockSweepWithFixedUpFraming) {
 
 /// The fixed workload behind tests/golden/checkpoint_v1 (and the
 /// generator tool below). Integer-valued weights and hash-derived seeds
-/// only -- no estimator arithmetic -- so the bytes are identical across
-/// PIE_SIMD / PIE_FAST_LOG / thread-count configurations.
+/// only -- no estimator arithmetic -- and the header's tier tag is always
+/// 0, so the bytes are identical across PIE_SIMD / PIE_METRICS /
+/// thread-count configurations.
 std::unique_ptr<SketchStore> BuildGoldenStore() {
   SketchStoreOptions options;
   options.num_shards = 2;
@@ -541,9 +542,7 @@ TEST(GoldenCheckpointTest, CommittedBytesAreReproducedExactly) {
   const std::string dir = FreshDir("golden");
   auto store_ptr = BuildGoldenStore();
   SketchStore& store = *store_ptr;
-  persist::CheckpointOptions options;
-  options.tier_tag = 0;  // pin the tier byte across build configs
-  ASSERT_TRUE(persist::WriteCheckpoint(*store.Snapshot(), dir, options).ok());
+  ASSERT_TRUE(persist::WriteCheckpoint(*store.Snapshot(), dir).ok());
   const std::vector<std::string> files = {
       persist::ManifestFileName(1), persist::ShardFileName(1, 0),
       persist::ShardFileName(1, 1)};
@@ -572,10 +571,7 @@ TEST(GoldenCheckpointTest, DISABLED_RegenerateGolden) {
   fs::remove_all(golden_dir);
   auto store_ptr = BuildGoldenStore();
   SketchStore& store = *store_ptr;
-  persist::CheckpointOptions options;
-  options.tier_tag = 0;
-  ASSERT_TRUE(
-      persist::WriteCheckpoint(*store.Snapshot(), golden_dir, options).ok());
+  ASSERT_TRUE(persist::WriteCheckpoint(*store.Snapshot(), golden_dir).ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@
 // be BITWISE identical to the scalar per-row Estimate /
 // EstimateSecondMoment path from src/core on batches of every pattern
 // shape: empty, single-row, all-sampled, none-sampled, and mixed patterns
-// crossing partition-block boundaries. Run in both CMake configs (the
+// crossing partition-block boundaries, plus an all-sampled shape with every
+// value below its threshold, which puts every weighted max^(L) row in the
+// std::log closed forms (equations (29)/(30)). Run in both CMake configs (the
 // scalar-fallback CI job builds -DPIE_SIMD=OFF, without the AVX2 and
 // vectorizer flags), this pins both compilations of the block loops to
 // the shared scalar reference.
@@ -94,15 +96,17 @@ TEST(PatternPartitionTest, GatherScatterRoundTrip) {
 // Registry-wide crafted-pattern sweep
 // ---------------------------------------------------------------------------
 
-enum class PatternShape { kAllSampled, kNoneSampled, kMixed };
+enum class PatternShape { kAllSampled, kNoneSampled, kMixed, kBelowTau };
 
 /// Fills one handcrafted row: `pattern` gives the sampled flags; values
 /// respect each kernel family's domain (binary for OR -- exactly 1.0 on
 /// sampled entries of weighted OR, whose mapping checks set semantics;
-/// scaled nonnegative reals otherwise), and seeds are always populated for
-/// PPS so identifiability bounds of unsampled entries are exercised.
+/// scaled nonnegative reals otherwise, strictly inside (0, tau) per entry
+/// for PPS when `below_tau`), and seeds are always populated for PPS so
+/// identifiability bounds of unsampled entries are exercised.
 void FillRow(const KernelEntry& entry, const SamplingParams& params,
-             unsigned pattern, Rng& rng, OutcomeBatch* batch) {
+             unsigned pattern, bool below_tau, Rng& rng,
+             OutcomeBatch* batch) {
   const int r = params.r();
   const int i = batch->AppendRow();
   uint8_t* sampled = batch->sampled_row(i);
@@ -117,6 +121,8 @@ void FillRow(const KernelEntry& entry, const SamplingParams& params,
     sampled[j] = (pattern >> j) & 1u;
     if (entry.spec.function == Function::kOr) {
       value[j] = sampled[j] != 0 ? 1.0 : 0.0;
+    } else if (below_tau && entry.spec.scheme == Scheme::kPps) {
+      value[j] = param[j] * rng.UniformDouble(0.05, 0.99);
     } else {
       value[j] = sampled[j] != 0 ? rng.UniformDouble(0.0, 1.5 * scale) : 0.0;
     }
@@ -137,6 +143,7 @@ void FillPatternBatch(const KernelEntry& entry, const SamplingParams& params,
     unsigned pattern = 0;
     switch (shape) {
       case PatternShape::kAllSampled:
+      case PatternShape::kBelowTau:
         pattern = all;
         break;
       case PatternShape::kNoneSampled:
@@ -147,7 +154,8 @@ void FillPatternBatch(const KernelEntry& entry, const SamplingParams& params,
         pattern = static_cast<unsigned>(i) % (all + 1u);
         break;
     }
-    FillRow(entry, params, pattern, rng, batch);
+    FillRow(entry, params, pattern, shape == PatternShape::kBelowTau, rng,
+            batch);
   }
 }
 
@@ -161,6 +169,7 @@ TEST(SimdPartitionTest, BatchPathsMatchScalarOnCraftedPatterns) {
       {PatternShape::kAllSampled, 1},   {PatternShape::kNoneSampled, 1},
       {PatternShape::kAllSampled, 300}, {PatternShape::kNoneSampled, 300},
       {PatternShape::kMixed, 257},      {PatternShape::kMixed, 700},
+      {PatternShape::kBelowTau, 4103},
   };
   for (const auto& entry : KernelRegistry::Global().Entries()) {
     for (const auto& params : entry.example_params) {

@@ -4,8 +4,12 @@
 // QueryService's parity with the aggregate-layer estimators.
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <filesystem>
+#include <limits>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "aggregate/distinct.h"
@@ -176,6 +180,24 @@ TEST(StreamingBottomkTest, MergeOfDisjointPartsMatchesDirect) {
   EXPECT_EQ(merged.num_updates(), items.size());
 }
 
+TEST(StreamingBottomkTest, NonFiniteWeightsAreCountedButNeverRetained) {
+  Rng rng(11);
+  const auto items = ZipfishItems(200, rng);
+  const int k = 32;
+  const uint64_t salt = 41;
+  StreamingBottomkSketch clean(k, RankFamily::kPps, salt);
+  StreamingBottomkSketch poisoned(k, RankFamily::kPps, salt);
+  for (const auto& item : items) {
+    clean.Update(item.key, item.weight);
+    poisoned.Update(item.key, item.weight);
+  }
+  poisoned.Update(1001, std::numeric_limits<double>::quiet_NaN());
+  poisoned.Update(1002, std::numeric_limits<double>::infinity());
+  poisoned.Update(1003, -std::numeric_limits<double>::infinity());
+  ExpectSketchesIdentical(poisoned.Finalize(), clean.Finalize());
+  EXPECT_EQ(poisoned.num_updates(), items.size() + 3);
+}
+
 TEST(StreamingBottomkTest, FewerThanKItemsIsExact) {
   StreamingBottomkSketch stream(10, RankFamily::kPps, /*salt=*/3);
   stream.Update(1, 5.0);
@@ -275,6 +297,81 @@ TEST(SketchStoreTest, PerInstanceTauOverride) {
   EXPECT_EQ(store.Snapshot()->TauFor(1), 7.5);
 }
 
+/// Every answer QueryService gives over instances 0 and 1, as bit patterns
+/// (so a NaN answer never compares equal).
+std::vector<uint64_t> AnswerBits(const SketchStore& store) {
+  const QueryService service(store.Snapshot(), {/*num_threads=*/1});
+  std::vector<uint64_t> bits;
+  auto add = [&](const IntervalEstimate& interval) {
+    for (double v : {interval.estimate, interval.variance, interval.lo,
+                     interval.hi}) {
+      bits.push_back(std::bit_cast<uint64_t>(v));
+    }
+  };
+  const auto max_est = service.MaxDominance(0, 1);
+  const auto min_est = service.MinDominanceHt(0, 1);
+  const auto l1_est = service.L1Distance(0, 1);
+  EXPECT_TRUE(max_est.ok() && min_est.ok() && l1_est.ok());
+  if (!max_est.ok() || !min_est.ok() || !l1_est.ok()) return bits;
+  add(max_est->ht);
+  add(max_est->l);
+  add(*min_est);
+  add(*l1_est);
+  return bits;
+}
+
+TEST(SketchStoreTest, NonFiniteWeightsAreCountedButNeverStored) {
+  SketchStoreOptions options;
+  options.num_shards = 4;
+  options.default_tau = 10.0;
+  auto build = [&options] {
+    auto store = std::make_unique<SketchStore>(options);
+    for (uint64_t key = 1; key <= 2000; ++key) {
+      // Even keys sit above tau (always sampled); odd keys below it.
+      const double weight = key % 2 == 0 ? 50.0 : 1.0 + key % 9;
+      store->Update(0, key, weight);
+      store->Update(1, key, weight);
+    }
+    return store;
+  };
+  const auto clean = build();
+  const std::vector<uint64_t> want = AnswerBits(*clean);
+  ASSERT_TRUE(clean->Snapshot()->MergedInstance(0).Lookup(8, nullptr));
+  ASSERT_FALSE(clean->Snapshot()->MergedInstance(0).Lookup(5000, nullptr));
+  const uint64_t clean_updates = clean->Snapshot()->UpdateCount(0);
+
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  int round = 0;
+  for (const double weight : {kNaN, kInf, -kInf}) {
+    // Key 8 is sampled; key 5000 is not in the store.
+    for (const uint64_t key : {uint64_t{8}, uint64_t{5000}}) {
+      for (const bool batched : {false, true}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "weight " << weight << " key " << key
+                     << (batched ? " UpdateBatch" : " Update"));
+        auto store = build();
+        if (batched) {
+          store->UpdateBatch(0, {{key, weight}});
+        } else {
+          store->Update(0, key, weight);
+        }
+        EXPECT_EQ(AnswerBits(*store), want);
+        EXPECT_EQ(store->Snapshot()->UpdateCount(0), clean_updates + 1);
+
+        const std::string dir = testing::TempDir() + "/store_nonfinite_" +
+                                std::to_string(round++);
+        std::filesystem::remove_all(dir);
+        ASSERT_TRUE(store->Checkpoint(dir).ok());
+        auto recovered = SketchStore::Recover(dir);
+        ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+        EXPECT_EQ(AnswerBits(**recovered), want);
+        std::filesystem::remove_all(dir);
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // QueryService parity with the aggregate layer
 // ---------------------------------------------------------------------------
@@ -319,10 +416,13 @@ TEST(QueryServiceTest, MaxDominanceMatchesAggregatePath) {
   EXPECT_NEAR(store_est->ht.estimate, direct.ht, 1e-9 * std::fabs(direct.ht));
   EXPECT_NEAR(store_est->l.estimate, direct.l, 1e-9 * std::fabs(direct.l));
 
-  // The aggregate layer's snapshot overload is the same computation.
-  const auto bridged = EstimateMaxDominance(*snapshot, 0, 1);
-  EXPECT_EQ(bridged.ht, store_est->ht.estimate);
-  EXPECT_EQ(bridged.l, store_est->l.estimate);
+  // A point-only scan (no second-moment pass) gives the same bits.
+  QueryServiceOptions point_only;
+  point_only.with_variance = false;
+  const auto point = QueryService(snapshot, point_only).MaxDominance(0, 1);
+  ASSERT_TRUE(point.ok());
+  EXPECT_EQ(point->ht.estimate, store_est->ht.estimate);
+  EXPECT_EQ(point->l.estimate, store_est->l.estimate);
 }
 
 TEST(QueryServiceTest, MinAndL1MatchAggregatePath) {
@@ -341,7 +441,11 @@ TEST(QueryServiceTest, MinAndL1MatchAggregatePath) {
   ASSERT_TRUE(l1_est.ok());
   const double direct_l1 = EstimateL1Distance(s1, s2);
   EXPECT_NEAR(l1_est->estimate, direct_l1, 1e-9 * std::fabs(direct_l1));
-  EXPECT_NEAR(EstimateL1Distance(*snapshot, 0, 1), l1_est->estimate,
+  QueryServiceOptions point_only;
+  point_only.with_variance = false;
+  const auto l1_point = QueryService(snapshot, point_only).L1Distance(0, 1);
+  ASSERT_TRUE(l1_point.ok());
+  EXPECT_NEAR(l1_point->estimate, l1_est->estimate,
               1e-12 * std::fabs(l1_est->estimate));
 }
 
