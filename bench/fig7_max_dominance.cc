@@ -83,8 +83,8 @@ void PrioritySamplingCrossCheck(const MultiInstanceData& data) {
     const auto pri = EstimateMaxDominancePriority(p1, p2);
     pri_ht.Add(pri.ht);
     pri_l.Add(pri.l);
-    const auto q1 = PpsInstanceSketch::Build(items1, *tau1, Mix64(4 * trial + 3));
-    const auto q2 = PpsInstanceSketch::Build(items2, *tau2, Mix64(4 * trial + 4));
+    const auto q1 = StreamingPpsSketch::Build(items1, *tau1, Mix64(4 * trial + 3));
+    const auto q2 = StreamingPpsSketch::Build(items2, *tau2, Mix64(4 * trial + 4));
     const auto poi = EstimateMaxDominance(q1, q2);
     poi_ht.Add(poi.ht);
     poi_l.Add(poi.l);

@@ -9,6 +9,7 @@
 #include "engine/engine.h"
 #include "sampling/bottomk.h"
 #include "sampling/varopt.h"
+#include "store/pps_rows.h"
 #include "util/hashing.h"
 #include "util/random.h"
 
@@ -39,7 +40,7 @@ void BM_PpsSketchBuild(benchmark::State& state) {
   const auto items = MakeItems(static_cast<int>(state.range(0)));
   uint64_t salt = 0;
   for (auto _ : state) {
-    auto sketch = PpsInstanceSketch::Build(items, 0.05, ++salt);
+    auto sketch = StreamingPpsSketch::Build(items, 0.05, ++salt);
     benchmark::DoNotOptimize(sketch.size());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -70,23 +71,19 @@ void BM_VarOptStream(benchmark::State& state) {
 }
 BENCHMARK(BM_VarOptStream)->Arg(10000)->Arg(100000);
 
-// Outcome-batch assembly from two PPS sketches: the scan that feeds the
-// estimation engine. OutcomeBatch keeps its columnar slabs across Clear(),
-// so steady-state assembly is allocation-free.
+// Union-row assembly from two PPS sketches (store/pps_rows.h): the build
+// that feeds the estimation engine. OutcomeBatch keeps its columnar slabs
+// across Reset(), so steady-state assembly is allocation-free.
 void BM_PairOutcomeBatchAssembly(benchmark::State& state) {
   const auto items = MakeItems(static_cast<int>(state.range(0)));
-  const auto s1 = PpsInstanceSketch::Build(items, 0.05, 1);
-  const auto s2 = PpsInstanceSketch::Build(items, 0.05, 2);
+  const auto s1 = StreamingPpsSketch::Build(items, 0.05, 1);
+  const auto s2 = StreamingPpsSketch::Build(items, 0.05, 2);
   OutcomeBatch batch;
-  batch.Reset(Scheme::kPps, 2);
   for (auto _ : state) {
-    batch.Clear();
-    for (const auto& e : s1.entries()) {
-      AppendPairOutcome(s1, s2, e.key, &batch);
-    }
+    BuildPairUnion(PpsSource::Of(s1), PpsSource::Of(s2), &batch);
     benchmark::DoNotOptimize(batch.size());
   }
-  state.SetItemsProcessed(state.iterations() * s1.size());
+  state.SetItemsProcessed(state.iterations() * batch.size());
 }
 BENCHMARK(BM_PairOutcomeBatchAssembly)->Arg(100000);
 
@@ -94,8 +91,8 @@ BENCHMARK(BM_PairOutcomeBatchAssembly)->Arg(100000);
 // memoized weighted kernels (the refactored aggregate path).
 void BM_EstimateMaxDominance(benchmark::State& state) {
   const auto items = MakeItems(static_cast<int>(state.range(0)));
-  const auto s1 = PpsInstanceSketch::Build(items, 0.05, 1);
-  const auto s2 = PpsInstanceSketch::Build(items, 0.05, 2);
+  const auto s1 = StreamingPpsSketch::Build(items, 0.05, 1);
+  const auto s2 = StreamingPpsSketch::Build(items, 0.05, 2);
   for (auto _ : state) {
     auto est = EstimateMaxDominance(s1, s2);
     benchmark::DoNotOptimize(est.l);

@@ -39,8 +39,8 @@ int main() {
   PIE_CHECK_OK(tau1.status());
   PIE_CHECK_OK(tau2.status());
 
-  const auto hour1 = pie::PpsInstanceSketch::Build(items1, *tau1, /*salt=*/101);
-  const auto hour2 = pie::PpsInstanceSketch::Build(items2, *tau2, /*salt=*/202);
+  const auto hour1 = pie::StreamingPpsSketch::Build(items1, *tau1, /*salt=*/101);
+  const auto hour2 = pie::StreamingPpsSketch::Build(items2, *tau2, /*salt=*/202);
   std::printf("hour 1: %d of %zu keys sketched (tau* = %.1f)\n", hour1.size(),
               items1.size(), *tau1);
   std::printf("hour 2: %d of %zu keys sketched (tau* = %.1f)\n", hour2.size(),

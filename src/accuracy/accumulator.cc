@@ -29,8 +29,7 @@ double DifferenceAccumulator::conservative_variance() const {
   return bound * bound;
 }
 
-IntervalEstimate DifferenceAccumulator::Interval(
-    const CiPolicy& policy) const {
+double DifferenceAccumulator::clamped_variance() const {
   // The joint estimate is sharper whenever the cross term is real (shared
   // samples make Cov[X, Y] > 0 for max/min pairs); the conservative bound
   // remains the ceiling, so the covariance-aware interval can only shrink
@@ -38,9 +37,8 @@ IntervalEstimate DifferenceAccumulator::Interval(
   // where the joint estimate (a difference of unbiased terms) goes
   // negative: the interval collapses to zero width, matching the header
   // contract that variance lands in [0, conservative_variance()].
-  const double joint = std::fmax(
-      0.0, std::fmin(joint_variance(), conservative_variance()));
-  return MakeInterval(estimate(), joint, policy);
+  return std::fmax(0.0,
+                   std::fmin(joint_variance(), conservative_variance()));
 }
 
 }  // namespace pie

@@ -166,10 +166,14 @@ class DifferenceAccumulator {
   double joint_variance() const { return var_x_ + var_y_ - 2.0 * cross_; }
   /// The pre-covariance upper bound (sd(X) + sd(Y))^2 on Var[X - Y].
   double conservative_variance() const;
+  /// The variance Interval() serves: joint_variance() clamped into
+  /// [0, conservative_variance()].
+  double clamped_variance() const;
 
-  /// The difference with covariance-aware error bars: joint variance,
-  /// clamped into [0, conservative_variance()].
-  IntervalEstimate Interval(const CiPolicy& policy = {}) const;
+  /// The difference with covariance-aware error bars (clamped_variance()).
+  IntervalEstimate Interval(const CiPolicy& policy = {}) const {
+    return MakeInterval(estimate(), clamped_variance(), policy);
+  }
 
  private:
   double sum_x_ = 0.0;

@@ -20,23 +20,6 @@ void AppendRepresentativeRow(int r, double p, int ones, int zeros,
 
 }  // namespace distinct_multi_internal
 
-DistinctMultiEstimates EstimateDistinctMulti(
-    const std::vector<BinaryInstanceSketch>& sketches) {
-  return EstimateDistinctMulti(sketches,
-                               aggregate_internal::AcceptAllKeys{});
-}
-
-DistinctMultiEstimates EstimateDistinctMulti(
-    const std::vector<BinaryInstanceSketch>& sketches,
-    const std::function<bool(uint64_t)>& pred) {
-  if (!pred) {
-    return EstimateDistinctMulti(sketches,
-                                 aggregate_internal::AcceptAllKeys{});
-  }
-  return EstimateDistinctMulti(
-      sketches, [&pred](uint64_t key) { return pred(key); });
-}
-
 double DistinctMultiLVariance(const std::vector<int64_t>& counts, int r,
                               double p) {
   PIE_CHECK(static_cast<int>(counts.size()) == r);

@@ -7,14 +7,13 @@
 // general-p coefficients grow exponentially in the number of distinct
 // probabilities; Theorem 4.2's O(r^2) recursion needs uniform p).
 //
-// Templated on the key predicate like the dominance scans; std::function
-// overloads are thin wrappers.
+// Templated on the key predicate like the dominance scans (default: all
+// keys).
 
 #pragma once
 
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -46,10 +45,10 @@ void AppendRepresentativeRow(int r, double p, int ones, int zeros,
 
 }  // namespace distinct_multi_internal
 
-template <typename Pred,
-          typename = aggregate_internal::EnableIfKeyPredicate<Pred>>
+template <typename Pred = AllKeys>
 DistinctMultiEstimates EstimateDistinctMulti(
-    const std::vector<BinaryInstanceSketch>& sketches, Pred&& pred) {
+    const std::vector<BinaryInstanceSketch>& sketches,
+    const Pred& pred = {}) {
   const int r = static_cast<int>(sketches.size());
   PIE_CHECK(r >= 2);
   const double p = sketches[0].p;
@@ -108,14 +107,6 @@ DistinctMultiEstimates EstimateDistinctMulti(
   }
   return out;
 }
-
-/// All-keys and std::function conveniences (a null std::function selects
-/// all keys).
-DistinctMultiEstimates EstimateDistinctMulti(
-    const std::vector<BinaryInstanceSketch>& sketches);
-DistinctMultiEstimates EstimateDistinctMulti(
-    const std::vector<BinaryInstanceSketch>& sketches,
-    const std::function<bool(uint64_t)>& pred);
 
 /// Analytic variances given the containment profile: counts[m-1] = number
 /// of union keys that belong to exactly m of the r instances.

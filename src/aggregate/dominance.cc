@@ -7,58 +7,9 @@
 
 namespace pie {
 
-using aggregate_internal::AcceptAllKeys;
-
-MaxDominanceEstimates EstimateMaxDominance(const PpsInstanceSketch& s1,
-                                           const PpsInstanceSketch& s2) {
-  return EstimateMaxDominance(s1, s2, AcceptAllKeys{});
-}
-
-MaxDominanceEstimates EstimateMaxDominance(
-    const PpsInstanceSketch& s1, const PpsInstanceSketch& s2,
-    const std::function<bool(uint64_t)>& pred) {
-  if (!pred) return EstimateMaxDominance(s1, s2, AcceptAllKeys{});
-  return EstimateMaxDominance(
-      s1, s2, [&pred](uint64_t key) { return pred(key); });
-}
-
-double EstimateMinDominanceHt(const PpsInstanceSketch& s1,
-                              const PpsInstanceSketch& s2) {
-  return EstimateMinDominanceHt(s1, s2, AcceptAllKeys{});
-}
-
-double EstimateMinDominanceHt(const PpsInstanceSketch& s1,
-                              const PpsInstanceSketch& s2,
-                              const std::function<bool(uint64_t)>& pred) {
-  if (!pred) return EstimateMinDominanceHt(s1, s2, AcceptAllKeys{});
-  return EstimateMinDominanceHt(
-      s1, s2, [&pred](uint64_t key) { return pred(key); });
-}
-
-double EstimateL1Distance(const PpsInstanceSketch& s1,
-                          const PpsInstanceSketch& s2) {
-  const MaxDominanceEstimates max_est = EstimateMaxDominance(s1, s2);
-  return max_est.l - EstimateMinDominanceHt(s1, s2);
-}
-
-Result<SelectedMaxDominance> EstimateMaxDominanceAuto(
-    const PpsInstanceSketch& s1, const PpsInstanceSketch& s2) {
-  const SamplingParams params({s1.tau(), s2.tau()});
-  auto chosen = SelectorCache::Global().Choose(
-      Function::kMax, Scheme::kPps, Regime::kKnownSeeds, params);
-  PIE_RETURN_IF_ERROR(chosen.status());
-  auto kernel = EstimationEngine::Global().Kernel(*chosen, params);
-  PIE_RETURN_IF_ERROR(kernel.status());
-
-  OutcomeBatch batch;
-  batch.Reset(Scheme::kPps, 2);
-  aggregate_internal::ForEachSampledKey(
-      s1, s2, aggregate_internal::AcceptAllKeys{},
-      [&](uint64_t key) { AppendPairOutcome(s1, s2, key, &batch); });
-  SelectedMaxDominance out;
-  out.spec = *chosen;
-  out.estimate = EstimateSum(**kernel, batch);
-  return out;
+double EstimateL1Distance(const StreamingPpsSketch& s1,
+                          const StreamingPpsSketch& s2) {
+  return EstimateMaxDominance(s1, s2).l - EstimateMinDominanceHt(s1, s2);
 }
 
 MaxDominanceVariance AnalyticMaxDominanceVariance(

@@ -42,21 +42,4 @@ PrioritySketch FromStreamingBottomk(const StreamingBottomkSketch& stream) {
   return out;
 }
 
-MaxDominanceEstimates EstimateMaxDominancePriority(const PrioritySketch& s1,
-                                                   const PrioritySketch& s2) {
-  return EstimateMaxDominancePriority(s1, s2,
-                                      aggregate_internal::AcceptAllKeys{});
-}
-
-MaxDominanceEstimates EstimateMaxDominancePriority(
-    const PrioritySketch& s1, const PrioritySketch& s2,
-    const std::function<bool(uint64_t)>& pred) {
-  if (!pred) {
-    return EstimateMaxDominancePriority(s1, s2,
-                                        aggregate_internal::AcceptAllKeys{});
-  }
-  return EstimateMaxDominancePriority(
-      s1, s2, [&pred](uint64_t key) { return pred(key); });
-}
-
 }  // namespace pie

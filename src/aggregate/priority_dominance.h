@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -59,11 +58,10 @@ PrioritySketch FromStreamingBottomk(const StreamingBottomkSketch& stream);
 /// one columnar batch per combination and each combination's memoized
 /// kernels run one EstimateMany pass over their batch; the old code
 /// rebuilt both weighted estimators for every key.
-template <typename Pred,
-          typename = aggregate_internal::EnableIfKeyPredicate<Pred>>
+template <typename Pred = AllKeys>
 MaxDominanceEstimates EstimateMaxDominancePriority(const PrioritySketch& s1,
                                                    const PrioritySketch& s2,
-                                                   Pred&& pred) {
+                                                   const Pred& pred = {}) {
   const SeedFunction seed1(s1.salt);
   const SeedFunction seed2(s2.salt);
 
@@ -139,13 +137,5 @@ MaxDominanceEstimates EstimateMaxDominancePriority(const PrioritySketch& s1,
   }
   return out;
 }
-
-/// All-keys and std::function conveniences (a null std::function selects
-/// all keys).
-MaxDominanceEstimates EstimateMaxDominancePriority(const PrioritySketch& s1,
-                                                   const PrioritySketch& s2);
-MaxDominanceEstimates EstimateMaxDominancePriority(
-    const PrioritySketch& s1, const PrioritySketch& s2,
-    const std::function<bool(uint64_t)>& pred);
 
 }  // namespace pie

@@ -4,41 +4,9 @@
 #include <cmath>
 #include <limits>
 
-#include "engine/engine.h"
-#include "store/sketch_store.h"
-#include "util/check.h"
+#include "sampling/rank.h"
 
 namespace pie {
-
-PpsInstanceSketch PpsInstanceSketch::Build(
-    const std::vector<WeightedItem>& items, double tau, uint64_t salt) {
-  StreamingPpsSketch stream(tau, salt);
-  for (const auto& item : items) stream.Update(item.key, item.weight);
-  return FromStreaming(stream);
-}
-
-PpsInstanceSketch PpsInstanceSketch::FromStreaming(
-    const StreamingPpsSketch& stream) {
-  PpsInstanceSketch sketch(stream.tau(), stream.salt());
-  sketch.entries_ = stream.entries();
-  sketch.by_key_.reserve(sketch.entries_.size());
-  for (const auto& e : sketch.entries_) {
-    sketch.by_key_.emplace(e.key, e.weight);
-  }
-  return sketch;
-}
-
-PpsInstanceSketch MaterializeInstance(const StoreSnapshot& snapshot,
-                                      int instance) {
-  return PpsInstanceSketch::FromStreaming(snapshot.MergedInstance(instance));
-}
-
-bool PpsInstanceSketch::Lookup(uint64_t key, double* value) const {
-  auto it = by_key_.find(key);
-  if (it == by_key_.end()) return false;
-  if (value != nullptr) *value = it->second;
-  return true;
-}
 
 Result<double> FindPpsTauForExpectedSize(
     const std::vector<WeightedItem>& items, double target) {
@@ -84,58 +52,6 @@ Result<double> FindPpsTauForExpectedSize(
     }
   }
   return 0.5 * (lo + hi);
-}
-
-PpsOutcome MakePairOutcome(const PpsInstanceSketch& s1,
-                           const PpsInstanceSketch& s2, uint64_t key) {
-  PpsOutcome out;
-  MakePairOutcomeInto(s1, s2, key, &out);
-  return out;
-}
-
-void MakePairOutcomeInto(const PpsInstanceSketch& s1,
-                         const PpsInstanceSketch& s2, uint64_t key,
-                         PpsOutcome* out) {
-  PIE_CHECK(out != nullptr);
-  out->tau.assign({s1.tau(), s2.tau()});
-  out->seed.assign({s1.seed_fn()(key), s2.seed_fn()(key)});
-  out->sampled.assign(2, 0);
-  out->value.assign(2, 0.0);
-  double v = 0.0;
-  if (s1.Lookup(key, &v)) {
-    out->sampled[0] = 1;
-    out->value[0] = v;
-  }
-  if (s2.Lookup(key, &v)) {
-    out->sampled[1] = 1;
-    out->value[1] = v;
-  }
-}
-
-void AppendPairOutcome(const PpsInstanceSketch& s1,
-                       const PpsInstanceSketch& s2, uint64_t key,
-                       OutcomeBatch* batch) {
-  PIE_CHECK(batch != nullptr);
-  const int i = batch->AppendRow();
-  double* tau = batch->param_row(i);
-  double* seed = batch->seed_row(i);
-  uint8_t* sampled = batch->sampled_row(i);
-  double* value = batch->value_row(i);
-  tau[0] = s1.tau();
-  tau[1] = s2.tau();
-  seed[0] = s1.seed_fn()(key);
-  seed[1] = s2.seed_fn()(key);
-  sampled[0] = sampled[1] = 0;
-  value[0] = value[1] = 0.0;
-  double v = 0.0;
-  if (s1.Lookup(key, &v)) {
-    sampled[0] = 1;
-    value[0] = v;
-  }
-  if (s2.Lookup(key, &v)) {
-    sampled[1] = 1;
-    value[1] = v;
-  }
 }
 
 }  // namespace pie

@@ -1,108 +1,19 @@
-// Per-instance sketches with reproducible hash seeds (Section 7.1-7.2).
-//
-// Each instance is summarized independently -- processing one instance never
-// looks at another's values -- but seeds come from a salted hash of the key,
-// so at estimation time the seed u_i(h) of *any* key in *any* instance can
-// be recomputed ("known seeds"). Using one shared salt coordinates the
-// samples (PRN method); distinct salts give independent samples.
+// PPS threshold planning for per-instance sketches (Section 7.1): the
+// sketches themselves are the store layer's StreamingPpsSketch.
 
 #pragma once
 
-#include <cmath>
-#include <cstdint>
-#include <unordered_map>
 #include <vector>
 
-#include "sampling/bottomk.h"
-#include "sampling/poisson.h"
 #include "store/streaming_sketch.h"
-#include "util/hashing.h"
 #include "util/status.h"
 
 namespace pie {
-
-class OutcomeBatch;
-class StoreSnapshot;
-
-/// Poisson PPS sketch of one instance: key h is included iff
-/// v(h) >= u(h) * tau, i.e. with probability min(1, v(h)/tau).
-///
-/// A thin estimation-side view over the store layer's one-pass builder:
-/// Build feeds the batch through a StreamingPpsSketch, so the batch and
-/// streaming paths produce identical sample sets by construction.
-class PpsInstanceSketch {
- public:
-  /// Builds the sketch of `items` with threshold `tau` and seed salt `salt`.
-  static PpsInstanceSketch Build(const std::vector<WeightedItem>& items,
-                                 double tau, uint64_t salt);
-
-  /// Adopts the sample of a one-pass builder (same tau, salt, entries).
-  static PpsInstanceSketch FromStreaming(const StreamingPpsSketch& stream);
-
-  double tau() const { return tau_; }
-  uint64_t salt() const { return salt_; }
-  const SeedFunction& seed_fn() const { return seed_fn_; }
-  int size() const { return static_cast<int>(entries_.size()); }
-  const std::vector<WeightedItem>& entries() const { return entries_; }
-
-  /// True + value if the key is in the sketch.
-  bool Lookup(uint64_t key, double* value) const;
-
-  /// Horvitz-Thompson subset-sum estimate of this instance's values.
-  /// Templated on the predicate so the hot scan pays no std::function
-  /// indirection or allocation (mirrors the PR 1 quadrature treatment).
-  template <typename Pred>
-  double SubsetSumEstimate(Pred&& pred) const {
-    double sum = 0.0;
-    for (const auto& e : entries_) {
-      if (pred(e.key)) {
-        sum += e.weight / std::fmin(1.0, e.weight / tau_);
-      }
-    }
-    return sum;
-  }
-
- private:
-  PpsInstanceSketch(double tau, uint64_t salt)
-      : tau_(tau), salt_(salt), seed_fn_(salt) {}
-
-  double tau_;
-  uint64_t salt_;
-  SeedFunction seed_fn_;
-  std::vector<WeightedItem> entries_;
-  std::unordered_map<uint64_t, double> by_key_;
-};
-
-/// The exact global sketch of one store instance, materialized from a
-/// snapshot by shard fan-in merge; plugs into the aggregate-layer
-/// estimators (EstimateMaxDominance, MakePairOutcomeInto, ...) unchanged.
-PpsInstanceSketch MaterializeInstance(const StoreSnapshot& snapshot,
-                                      int instance);
 
 /// Finds tau such that the expected PPS sample size sum_h min(1, v(h)/tau)
 /// equals `target` (binary search; returns +0-sized result checks). Returns
 /// InvalidArgument if target is not in (0, #items].
 Result<double> FindPpsTauForExpectedSize(const std::vector<WeightedItem>& items,
                                          double target);
-
-/// Assembles the PpsOutcome for one key across two sketches (the input to
-/// the Section 5 estimators): values where sampled, recomputed seeds
-/// everywhere.
-PpsOutcome MakePairOutcome(const PpsInstanceSketch& s1,
-                           const PpsInstanceSketch& s2, uint64_t key);
-
-/// In-place variant for scalar call sites: overwrites `out` reusing its
-/// inner vectors' capacity.
-void MakePairOutcomeInto(const PpsInstanceSketch& s1,
-                         const PpsInstanceSketch& s2, uint64_t key,
-                         PpsOutcome* out);
-
-/// Columnar variant for batched scans: appends one key's two-instance
-/// outcome as a row of `batch` (whose layout must be
-/// Reset(Scheme::kPps, 2)). Steady-state assembly into a Clear()ed batch
-/// allocates nothing.
-void AppendPairOutcome(const PpsInstanceSketch& s1,
-                       const PpsInstanceSketch& s2, uint64_t key,
-                       OutcomeBatch* batch);
 
 }  // namespace pie

@@ -21,7 +21,9 @@
 //   KernelHandle ht = engine.Kernel(ht_spec, params).value();
 //   KernelHandle l = engine.Kernel(l_spec, params).value();
 //   batch.Reset(Scheme::kPps, /*r=*/2);           // fix the row layout
-//   for (key : keys) AppendPairOutcome(s1, s2, key, &batch);
+//   for (key : keys) {       // store/pps_rows.h builds PPS rows this way
+//     const int i = batch.AppendRow();  // then fill param_row(i),
+//   }                        // seed_row(i), sampled_row(i), value_row(i)
 //   double ht_sum = EstimateSum(*ht, batch);  // one EstimateMany pass per
 //   double l_sum = EstimateSum(*l, batch);    // kernel, slabs assembled once
 

@@ -1,7 +1,5 @@
 #include "store/query_service.h"
 
-#include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <utility>
 
@@ -9,6 +7,7 @@
 #include "engine/worker_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "store/pps_rows.h"
 #include "util/check.h"
 
 namespace pie {
@@ -58,6 +57,36 @@ void NoteDegradedQuery(const char* query, double coverage) {
       .Set(coverage);
 }
 
+/// Instance `instance` of shard `s` as a row source: the shard's sketch
+/// (nullptr when the shard never saw the instance) with the snapshot-wide
+/// tau and seeds.
+PpsSource ShardSource(const StoreSnapshot& snapshot, int s, int instance) {
+  return {snapshot.Shard(s).Instance(instance), snapshot.TauFor(instance),
+          SeedFunction(snapshot.InstanceSalt(instance))};
+}
+
+/// Fills shard s's r = 2 union rows of instances i1 and i2.
+auto PairUnionFill(const StoreSnapshot& snapshot, int i1, int i2) {
+  return [&snapshot, i1, i2](int s, OutcomeBatch* batch) {
+    BuildPairUnion(ShardSource(snapshot, s, i1), ShardSource(snapshot, s, i2),
+                   batch);
+    return Status::OK();
+  };
+}
+
+/// Fills shard s's unit-weight union rows of `instances`.
+auto UnitUnionFill(const StoreSnapshot& snapshot,
+                   const std::vector<int>& instances) {
+  return [&snapshot, &instances](int s, OutcomeBatch* batch) {
+    std::vector<PpsSource> sources;
+    sources.reserve(instances.size());
+    for (int instance : instances) {
+      sources.push_back(ShardSource(snapshot, s, instance));
+    }
+    return BuildUnitUnion(sources, batch);
+  };
+}
+
 }  // namespace
 
 QueryService::QueryService(std::shared_ptr<const StoreSnapshot> snapshot,
@@ -65,14 +94,6 @@ QueryService::QueryService(std::shared_ptr<const StoreSnapshot> snapshot,
     : snapshot_(std::move(snapshot)), options_(options) {
   PIE_CHECK(snapshot_ != nullptr);
   PIE_CHECK(options_.num_threads >= 0);
-}
-
-QueryService QueryService::Borrowed(const StoreSnapshot& snapshot,
-                                    QueryServiceOptions options) {
-  return QueryService(
-      std::shared_ptr<const StoreSnapshot>(&snapshot,
-                                           [](const StoreSnapshot*) {}),
-      options);
 }
 
 int QueryService::ScanThreads() const {
@@ -125,88 +146,37 @@ IntervalEstimate QueryService::DegradeInterval(
 }
 
 IntervalEstimate QueryService::DegradeFromPartials(
-    const std::vector<std::vector<AccuracyAccumulator>>& partials,
-    size_t k) const {
+    const std::vector<AccuracyAccumulator>& shards) const {
   std::vector<double> est;
   std::vector<double> var;
-  est.reserve(partials.size());
-  var.reserve(partials.size());
-  for (const auto& shard : partials) {
-    est.push_back(shard[k].sum());
-    var.push_back(shard[k].variance());
+  est.reserve(shards.size());
+  var.reserve(shards.size());
+  for (const auto& shard : shards) {
+    est.push_back(shard.sum());
+    var.push_back(shard.variance());
   }
   return DegradeInterval(est, var);
 }
 
-namespace {
-
-/// Fills one shard's r=2 PPS union batch: one row per key sampled in
-/// either instance, slabs written in a deterministic order (s1's arrival
-/// order, then s2's keys not already covered). Shared by the max-pair and
-/// joint L1 scans so both see identical rows.
-void FillPairBatch(const StreamingPpsSketch* s1, const StreamingPpsSketch* s2,
-                   double tau1, double tau2, const SeedFunction& seed1,
-                   const SeedFunction& seed2, OutcomeBatch* batch) {
-  batch->Reset(Scheme::kPps, 2);
-  auto add_key = [&](uint64_t key) {
-    const int i = batch->AppendRow();
-    double* tau = batch->param_row(i);
-    tau[0] = tau1;
-    tau[1] = tau2;
-    double* seed = batch->seed_row(i);
-    seed[0] = seed1(key);
-    seed[1] = seed2(key);
-    uint8_t* sampled = batch->sampled_row(i);
-    double* value = batch->value_row(i);
-    sampled[0] = sampled[1] = 0;
-    value[0] = value[1] = 0.0;
-    double v = 0.0;
-    if (s1 != nullptr && s1->Lookup(key, &v)) {
-      sampled[0] = 1;
-      value[0] = v;
-    }
-    if (s2 != nullptr && s2->Lookup(key, &v)) {
-      sampled[1] = 1;
-      value[1] = v;
-    }
-  };
-  if (s1 != nullptr) {
-    for (const auto& e : s1->entries()) add_key(e.key);
-  }
-  if (s2 != nullptr) {
-    for (const auto& e : s2->entries()) {
-      if (s1 == nullptr || !s1->Lookup(e.key, nullptr)) add_key(e.key);
-    }
-  }
-}
-
-}  // namespace
-
-void QueryService::ScanMaxPair(
-    int i1, int i2, const std::vector<const EstimatorKernel*>& kernels,
-    std::vector<AccuracyAccumulator>* totals,
-    std::vector<std::vector<AccuracyAccumulator>>* shard_partials) const {
-  obs::ScopedSpan span("scan/max_pair");
-  const double tau1 = snapshot_->TauFor(i1);
-  const double tau2 = snapshot_->TauFor(i2);
-  const SeedFunction seed1(snapshot_->InstanceSalt(i1));
-  const SeedFunction seed2(snapshot_->InstanceSalt(i2));
-  const int num_shards = snapshot_->num_shards();
-  const size_t num_kernels = kernels.size();
-  std::vector<std::vector<AccuracyAccumulator>> partial(
-      static_cast<size_t>(num_shards),
-      std::vector<AccuracyAccumulator>(num_kernels));
+Result<QueryService::ShardPartials> QueryService::ScanShards(
+    const char* span, const std::vector<const EstimatorKernel*>& kernels,
+    const RowFill& fill) const {
+  obs::ScopedSpan scan_span(span);
+  const size_t num_shards = static_cast<size_t>(snapshot_->num_shards());
+  ShardPartials partials(kernels.size(),
+                         std::vector<AccuracyAccumulator>(num_shards));
+  std::vector<Status> fills(num_shards);
   // Idle pool workers split each shard's chunked scan (a hot shard of a
   // skewed store no longer serializes the query); results are unchanged
   // for any value (the chunked driver is thread-count invariant).
   const int scan_threads = ScanThreads();
   ForEachShard([&](int s) {
-    const ShardSnapshot& shard = snapshot_->Shard(s);
+    const size_t shard = static_cast<size_t>(s);
     OutcomeBatch batch;
-    FillPairBatch(shard.Instance(i1), shard.Instance(i2), tau1, tau2, seed1,
-                  seed2, &batch);
-    for (size_t k = 0; k < num_kernels; ++k) {
-      AccuracyAccumulator& acc = partial[static_cast<size_t>(s)][k];
+    fills[shard] = fill(s, &batch);
+    if (!fills[shard].ok()) return;
+    for (size_t k = 0; k < kernels.size(); ++k) {
+      AccuracyAccumulator& acc = partials[k][shard];
       if (options_.with_variance) {
         acc.AddBatch(*kernels[k], batch, scan_threads);
       } else {
@@ -214,13 +184,27 @@ void QueryService::ScanMaxPair(
       }
     }
   });
-  totals->assign(num_kernels, AccuracyAccumulator());
-  for (int s = 0; s < num_shards; ++s) {
-    for (size_t k = 0; k < num_kernels; ++k) {
-      (*totals)[k].Merge(partial[static_cast<size_t>(s)][k]);
+  for (const Status& status : fills) PIE_RETURN_IF_ERROR(status);
+  return partials;
+}
+
+std::vector<IntervalEstimate> QueryService::FinishIntervals(
+    const char* query, const ShardPartials& partials) const {
+  const bool degraded = snapshot_->absent_shards() > 0;
+  std::vector<IntervalEstimate> out;
+  out.reserve(partials.size());
+  for (const auto& shards : partials) {
+    if (degraded) {
+      out.push_back(DegradeFromPartials(shards));
+    } else {
+      AccuracyAccumulator total;
+      for (const auto& shard : shards) total.Merge(shard);
+      out.push_back(total.Interval(options_.ci));
     }
   }
-  if (shard_partials != nullptr) *shard_partials = std::move(partial);
+  if (degraded) NoteDegradedQuery(query, out.front().coverage);
+  for (const auto& interval : out) ObserveCiWidth(interval);
+  return out;
 }
 
 Result<DualInterval> QueryService::MaxDominance(int i1, int i2) const {
@@ -235,23 +219,11 @@ Result<DualInterval> QueryService::MaxDominance(int i1, int i2) const {
   PIE_RETURN_IF_ERROR(ht.status());
   PIE_RETURN_IF_ERROR(l.status());
 
-  const bool degraded = snapshot_->absent_shards() > 0;
-  std::vector<AccuracyAccumulator> totals;
-  std::vector<std::vector<AccuracyAccumulator>> partials;
-  ScanMaxPair(i1, i2, {ht->get(), l->get()}, &totals,
-              degraded ? &partials : nullptr);
-  DualInterval out;
-  if (degraded) {
-    out.ht = DegradeFromPartials(partials, 0);
-    out.l = DegradeFromPartials(partials, 1);
-    NoteDegradedQuery("max_dominance", out.ht.coverage);
-  } else {
-    out.ht = totals[0].Interval(options_.ci);
-    out.l = totals[1].Interval(options_.ci);
-  }
-  ObserveCiWidth(out.ht);
-  ObserveCiWidth(out.l);
-  return out;
+  auto partials = ScanShards("scan/max_pair", {ht->get(), l->get()},
+                             PairUnionFill(*snapshot_, i1, i2));
+  PIE_RETURN_IF_ERROR(partials.status());
+  const auto intervals = FinishIntervals("max_dominance", *partials);
+  return DualInterval{intervals[0], intervals[1]};
 }
 
 Result<SelectedEstimate> QueryService::MaxDominanceAuto(int i1, int i2) const {
@@ -268,89 +240,34 @@ Result<SelectedEstimate> QueryService::MaxDominanceAuto(int i1, int i2) const {
   auto kernel = EstimationEngine::Global().Kernel(*chosen, params);
   PIE_RETURN_IF_ERROR(kernel.status());
 
-  const bool degraded = snapshot_->absent_shards() > 0;
-  std::vector<AccuracyAccumulator> totals;
-  std::vector<std::vector<AccuracyAccumulator>> partials;
-  ScanMaxPair(i1, i2, {kernel->get()}, &totals,
-              degraded ? &partials : nullptr);
-  SelectedEstimate out;
-  out.spec = *chosen;
-  if (degraded) {
-    out.interval = DegradeFromPartials(partials, 0);
-    NoteDegradedQuery("max_dominance_auto", out.interval.coverage);
-  } else {
-    out.interval = totals[0].Interval(options_.ci);
-  }
-  ObserveCiWidth(out.interval);
-  return out;
+  auto partials = ScanShards("scan/max_pair", {kernel->get()},
+                             PairUnionFill(*snapshot_, i1, i2));
+  PIE_RETURN_IF_ERROR(partials.status());
+  return SelectedEstimate{
+      *chosen, FinishIntervals("max_dominance_auto", *partials)[0]};
 }
 
 Result<IntervalEstimate> QueryService::MinDominanceHt(int i1, int i2) const {
   static obs::Histogram& latency = QueryHistogram("min_dominance_ht");
   obs::ScopedTimer timer(latency);
   obs::ScopedSpan span("query/min_dominance_ht");
-  const double tau1 = snapshot_->TauFor(i1);
-  const double tau2 = snapshot_->TauFor(i2);
   auto min_ht = EstimationEngine::Global().Kernel(
       {Function::kMin, Scheme::kPps, Regime::kUnknownSeeds, Family::kHt},
-      SamplingParams({tau1, tau2}, options_.quad_tol));
+      SamplingParams({snapshot_->TauFor(i1), snapshot_->TauFor(i2)},
+                     options_.quad_tol));
   PIE_RETURN_IF_ERROR(min_ht.status());
 
-  obs::ScopedSpan scan_span("scan/min_ht");
-  const int num_shards = snapshot_->num_shards();
-  std::vector<AccuracyAccumulator> partial(static_cast<size_t>(num_shards));
-  const int scan_threads = ScanThreads();
-  ForEachShard([&](int s) {
-    const ShardSnapshot& shard = snapshot_->Shard(s);
-    const StreamingPpsSketch* s1 = shard.Instance(i1);
-    const StreamingPpsSketch* s2 = shard.Instance(i2);
-    if (s1 == nullptr || s2 == nullptr) return;
-    // min^(HT) needs both entries; the unknown-seeds kernel never reads
-    // the seed slab, which stays zeroed for interface parity.
-    OutcomeBatch batch;
-    batch.Reset(Scheme::kPps, 2);
-    for (const auto& e : s1->entries()) {
-      double v2 = 0.0;
-      if (!s2->Lookup(e.key, &v2)) continue;
-      const int i = batch.AppendRow();
-      double* tau = batch.param_row(i);
-      tau[0] = tau1;
-      tau[1] = tau2;
-      double* seed = batch.seed_row(i);
-      seed[0] = seed[1] = 0.0;
-      uint8_t* sampled = batch.sampled_row(i);
-      sampled[0] = sampled[1] = 1;
-      double* value = batch.value_row(i);
-      value[0] = e.weight;
-      value[1] = v2;
-    }
-    AccuracyAccumulator& acc = partial[static_cast<size_t>(s)];
-    if (options_.with_variance) {
-      acc.AddBatch(**min_ht, batch, scan_threads);
-    } else {
-      acc.AddBatchEstimateOnly(**min_ht, batch, scan_threads);
-    }
-  });
-
-  IntervalEstimate interval;
-  if (snapshot_->absent_shards() > 0) {
-    std::vector<double> est;
-    std::vector<double> var;
-    est.reserve(partial.size());
-    var.reserve(partial.size());
-    for (const auto& p : partial) {
-      est.push_back(p.sum());
-      var.push_back(p.variance());
-    }
-    interval = DegradeInterval(est, var);
-    NoteDegradedQuery("min_dominance_ht", interval.coverage);
-  } else {
-    AccuracyAccumulator total;
-    for (const auto& p : partial) total.Merge(p);
-    interval = total.Interval(options_.ci);
-  }
-  ObserveCiWidth(interval);
-  return interval;
+  // min^(HT) reads only keys sampled in both instances.
+  const StoreSnapshot& snapshot = *snapshot_;
+  auto partials = ScanShards(
+      "scan/min_ht", {min_ht->get()},
+      [&snapshot, i1, i2](int s, OutcomeBatch* batch) {
+        BuildPairIntersection(ShardSource(snapshot, s, i1),
+                              ShardSource(snapshot, s, i2), batch);
+        return Status::OK();
+      });
+  PIE_RETURN_IF_ERROR(partials.status());
+  return FinishIntervals("min_dominance_ht", *partials)[0];
 }
 
 Result<IntervalEstimate> QueryService::L1Distance(int i1, int i2) const {
@@ -381,33 +298,26 @@ Result<IntervalEstimate> QueryService::L1Distance(int i1, int i2) const {
            min_core.MaxMinProductRow(chunk.sampled_row(i),
                                      chunk.value_row(i));
   };
-  const SeedFunction seed1(snapshot_->InstanceSalt(i1));
-  const SeedFunction seed2(snapshot_->InstanceSalt(i2));
   obs::ScopedSpan scan_span("scan/l1_joint");
-  const int num_shards = snapshot_->num_shards();
   std::vector<DifferenceAccumulator> partial(
-      static_cast<size_t>(num_shards));
+      static_cast<size_t>(snapshot_->num_shards()));
   ForEachShard([&](int s) {
-    const ShardSnapshot& shard = snapshot_->Shard(s);
     OutcomeBatch batch;
-    FillPairBatch(shard.Instance(i1), shard.Instance(i2), tau1, tau2, seed1,
-                  seed2, &batch);
+    BuildPairUnion(ShardSource(*snapshot_, s, i1),
+                   ShardSource(*snapshot_, s, i2), &batch);
     partial[static_cast<size_t>(s)].AddBatch(**max_l, **min_ht, batch, cross,
                                              options_.with_variance);
   });
   IntervalEstimate interval;
   if (snapshot_->absent_shards() > 0) {
-    // Per-shard variance uses the same joint-clamped-to-conservative rule
-    // as DifferenceAccumulator::Interval, applied shard-wise.
+    // Each shard's variance is clamped by the same rule as Interval().
     std::vector<double> est;
     std::vector<double> var;
     est.reserve(partial.size());
     var.reserve(partial.size());
     for (const auto& p : partial) {
       est.push_back(p.estimate());
-      const double joint = p.joint_variance();
-      const double ceiling = p.conservative_variance();
-      var.push_back(std::max(0.0, std::min(joint, ceiling)));
+      var.push_back(p.clamped_variance());
     }
     interval = DegradeInterval(est, var);
     NoteDegradedQuery("l1_distance", interval.coverage);
@@ -418,92 +328,6 @@ Result<IntervalEstimate> QueryService::L1Distance(int i1, int i2) const {
   }
   ObserveCiWidth(interval);
   return interval;
-}
-
-Status QueryService::ScanOrUnion(
-    const std::vector<int>& instances,
-    const std::vector<const EstimatorKernel*>& kernels,
-    std::vector<AccuracyAccumulator>* totals,
-    std::vector<std::vector<AccuracyAccumulator>>* shard_partials) const {
-  obs::ScopedSpan span("scan/or_union");
-  const int r = static_cast<int>(instances.size());
-  std::vector<double> taus;
-  taus.reserve(instances.size());
-  for (int instance : instances) taus.push_back(snapshot_->TauFor(instance));
-
-  std::vector<SeedFunction> seeds;
-  seeds.reserve(instances.size());
-  for (int instance : instances) {
-    seeds.emplace_back(snapshot_->InstanceSalt(instance));
-  }
-  const int num_shards = snapshot_->num_shards();
-  const size_t num_kernels = kernels.size();
-  std::vector<std::vector<AccuracyAccumulator>> partial(
-      static_cast<size_t>(num_shards),
-      std::vector<AccuracyAccumulator>(num_kernels));
-  std::atomic<bool> non_unit_weight{false};
-  const int scan_threads = ScanThreads();
-  ForEachShard([&](int s) {
-    const ShardSnapshot& shard = snapshot_->Shard(s);
-    std::vector<const StreamingPpsSketch*> sketches(static_cast<size_t>(r));
-    for (int j = 0; j < r; ++j) {
-      sketches[static_cast<size_t>(j)] = shard.Instance(instances[j]);
-    }
-    OutcomeBatch batch;
-    batch.Reset(Scheme::kPps, r);
-    // Each instance's entries contribute the keys no earlier instance
-    // already covered, so the union is scanned exactly once per key.
-    for (int j = 0; j < r; ++j) {
-      const StreamingPpsSketch* sj = sketches[static_cast<size_t>(j)];
-      if (sj == nullptr) continue;
-      for (const auto& e : sj->entries()) {
-        if (e.weight != 1.0) {
-          non_unit_weight.store(true, std::memory_order_relaxed);
-          return;
-        }
-        bool covered = false;
-        for (int j2 = 0; j2 < j && !covered; ++j2) {
-          const StreamingPpsSketch* prev = sketches[static_cast<size_t>(j2)];
-          covered = prev != nullptr && prev->Lookup(e.key, nullptr);
-        }
-        if (covered) continue;
-        const int i = batch.AppendRow();
-        double* tau = batch.param_row(i);
-        double* seed = batch.seed_row(i);
-        uint8_t* sampled = batch.sampled_row(i);
-        double* value = batch.value_row(i);
-        for (int j2 = 0; j2 < r; ++j2) {
-          tau[j2] = taus[static_cast<size_t>(j2)];
-          seed[j2] = seeds[static_cast<size_t>(j2)](e.key);
-          const StreamingPpsSketch* other = sketches[static_cast<size_t>(j2)];
-          const bool in = other != nullptr && other->Lookup(e.key, nullptr);
-          sampled[j2] = in ? 1 : 0;
-          value[j2] = in ? 1.0 : 0.0;
-        }
-      }
-    }
-    for (size_t k = 0; k < num_kernels; ++k) {
-      AccuracyAccumulator& acc = partial[static_cast<size_t>(s)][k];
-      if (options_.with_variance) {
-        acc.AddBatch(*kernels[k], batch, scan_threads);
-      } else {
-        acc.AddBatchEstimateOnly(*kernels[k], batch, scan_threads);
-      }
-    }
-  });
-  if (non_unit_weight.load()) {
-    return Status::InvalidArgument(
-        "distinct union requires unit-weight ingestion (set semantics)");
-  }
-
-  totals->assign(num_kernels, AccuracyAccumulator());
-  for (int s = 0; s < num_shards; ++s) {
-    for (size_t k = 0; k < num_kernels; ++k) {
-      (*totals)[k].Merge(partial[static_cast<size_t>(s)][k]);
-    }
-  }
-  if (shard_partials != nullptr) *shard_partials = std::move(partial);
-  return Status::OK();
 }
 
 Result<DualInterval> QueryService::DistinctUnion(
@@ -524,23 +348,11 @@ Result<DualInterval> QueryService::DistinctUnion(
   PIE_RETURN_IF_ERROR(ht.status());
   PIE_RETURN_IF_ERROR(l.status());
 
-  const bool degraded = snapshot_->absent_shards() > 0;
-  std::vector<AccuracyAccumulator> totals;
-  std::vector<std::vector<AccuracyAccumulator>> partials;
-  PIE_RETURN_IF_ERROR(ScanOrUnion(instances, {ht->get(), l->get()}, &totals,
-                                  degraded ? &partials : nullptr));
-  DualInterval out;
-  if (degraded) {
-    out.ht = DegradeFromPartials(partials, 0);
-    out.l = DegradeFromPartials(partials, 1);
-    NoteDegradedQuery("distinct_union", out.ht.coverage);
-  } else {
-    out.ht = totals[0].Interval(options_.ci);
-    out.l = totals[1].Interval(options_.ci);
-  }
-  ObserveCiWidth(out.ht);
-  ObserveCiWidth(out.l);
-  return out;
+  auto partials = ScanShards("scan/or_union", {ht->get(), l->get()},
+                             UnitUnionFill(*snapshot_, instances));
+  PIE_RETURN_IF_ERROR(partials.status());
+  const auto intervals = FinishIntervals("distinct_union", *partials);
+  return DualInterval{intervals[0], intervals[1]};
 }
 
 Result<SelectedEstimate> QueryService::DistinctUnionAuto(
@@ -564,21 +376,11 @@ Result<SelectedEstimate> QueryService::DistinctUnionAuto(
   auto kernel = EstimationEngine::Global().Kernel(*chosen, params);
   PIE_RETURN_IF_ERROR(kernel.status());
 
-  const bool degraded = snapshot_->absent_shards() > 0;
-  std::vector<AccuracyAccumulator> totals;
-  std::vector<std::vector<AccuracyAccumulator>> partials;
-  PIE_RETURN_IF_ERROR(ScanOrUnion(instances, {kernel->get()}, &totals,
-                                  degraded ? &partials : nullptr));
-  SelectedEstimate out;
-  out.spec = *chosen;
-  if (degraded) {
-    out.interval = DegradeFromPartials(partials, 0);
-    NoteDegradedQuery("distinct_union_auto", out.interval.coverage);
-  } else {
-    out.interval = totals[0].Interval(options_.ci);
-  }
-  ObserveCiWidth(out.interval);
-  return out;
+  auto partials = ScanShards("scan/or_union", {kernel->get()},
+                             UnitUnionFill(*snapshot_, instances));
+  PIE_RETURN_IF_ERROR(partials.status());
+  return SelectedEstimate{
+      *chosen, FinishIntervals("distinct_union_auto", *partials)[0]};
 }
 
 }  // namespace pie

@@ -3,27 +3,28 @@
 // A QueryService binds one immutable StoreSnapshot and answers the
 // Section 8 sum aggregates -- max/min dominance, L1 distance, distinct /
 // Boolean-OR counts -- by scanning the union of sampled keys shard by
-// shard: each shard's keys are assembled into a per-shard columnar
-// OutcomeBatch (flat value/threshold/seed/sampled slabs, allocation-free
-// in steady state) and driven through the estimation engine's memoized
-// kernels with one EstimateMany pass per kernel, with a final
+// shard: each shard's keys become the rows of a per-shard columnar
+// OutcomeBatch, built by the store's one row builder (store/pps_rows.h,
+// shared with the offline aggregates), and driven through the estimation
+// engine's memoized kernels with one pass per kernel, with a final
 // deterministic reduction in shard order. Shards are independent, so the
 // scan fans out across worker threads; results are bitwise identical for
 // any thread count because each shard's partial is computed identically
 // (EstimateMany overrides are bitwise-identical to the scalar path) and
-// the reduction order is fixed.
+// the reduction order is fixed. Every aggregate but L1Distance runs the
+// same private shard scan (ScanShards) and interval finisher
+// (FinishIntervals).
 //
-// Since PR 4 every aggregate returns an IntervalEstimate {estimate,
-// std_err, lo, hi} rather than a bare double: each shard scan accumulates
-// unbiased per-key variance estimates into mergeable AccuracyAccumulators
-// (src/accuracy/). The with-variance scan is FUSED -- one
-// EstimateWithVarianceMany slab pass per chunk produces the estimate and
-// its variance together, through the deterministic chunked driver of
-// engine/parallel_scan.h -- so error bars cost a fraction of a second
-// pass, and point estimates stay bitwise identical to EstimateSum.
-// L1Distance additionally scans its max^(L) and min^(HT) terms jointly
-// over the shared sample, estimating their covariance exactly instead of
-// assuming the worst (see L1Distance below).
+// Every aggregate returns an IntervalEstimate {estimate, std_err, lo, hi}:
+// each shard scan accumulates unbiased per-key variance estimates into
+// mergeable AccuracyAccumulators (src/accuracy/). The with-variance scan
+// is FUSED -- one EstimateWithVarianceMany slab pass per chunk produces
+// the estimate and its variance together, through the deterministic
+// chunked driver of engine/parallel_scan.h -- so error bars cost a
+// fraction of a second pass, and point estimates stay bitwise identical
+// to EstimateSum. L1Distance additionally scans its max^(L) and min^(HT)
+// terms jointly over the shared sample, estimating their covariance
+// exactly instead of assuming the worst (see L1Distance below).
 
 #pragma once
 
@@ -69,14 +70,6 @@ class QueryService {
  public:
   explicit QueryService(std::shared_ptr<const StoreSnapshot> snapshot,
                         QueryServiceOptions options = {});
-
-  /// A synchronous service borrowing `snapshot` (no-op deleter): the
-  /// aggregate layer's repeat-call bridges. options.num_threads is
-  /// honored -- parallel scans run on the persistent WorkerPool, so a
-  /// repeat-call path no longer pays a per-call thread spawn/join. The
-  /// caller must keep the snapshot alive.
-  static QueryService Borrowed(const StoreSnapshot& snapshot,
-                               QueryServiceOptions options = {});
 
   /// Max-dominance norm sum_h max(v_i1(h), v_i2(h)) (Section 8.2), via the
   /// per-key weighted max^(HT) / max^(L) kernels over the union of sampled
@@ -140,27 +133,26 @@ class QueryService {
   /// (engine/worker_pool.h ResolveParallelism).
   int ScanThreads() const;
 
-  /// Scans the union of keys sampled in instance i1 or i2, assembling the
-  /// per-shard r=2 PPS batches once and accumulating every kernel's
-  /// estimate + variance; totals are reduced in shard order (one
-  /// AccuracyAccumulator per kernel). When `shard_partials` is non-null
-  /// the per-shard accumulators (outer index: shard, inner: kernel) are
-  /// moved out too -- the degraded path extrapolates from them.
-  void ScanMaxPair(
-      int i1, int i2, const std::vector<const EstimatorKernel*>& kernels,
-      std::vector<AccuracyAccumulator>* totals,
-      std::vector<std::vector<AccuracyAccumulator>>* shard_partials =
-          nullptr) const;
+  /// Builds shard `s`'s rows into the batch (store/pps_rows.h); an error
+  /// refuses the whole query.
+  using RowFill = std::function<Status(int s, OutcomeBatch*)>;
+  /// Per kernel, one accumulator per store shard, in shard order.
+  using ShardPartials = std::vector<std::vector<AccuracyAccumulator>>;
 
-  /// Scans the union of keys sampled in any of `instances` (unit-weight
-  /// set semantics), accumulating every kernel's estimate + variance;
-  /// totals reduced in shard order. InvalidArgument on non-unit weights.
-  Status ScanOrUnion(
-      const std::vector<int>& instances,
-      const std::vector<const EstimatorKernel*>& kernels,
-      std::vector<AccuracyAccumulator>* totals,
-      std::vector<std::vector<AccuracyAccumulator>>* shard_partials =
-          nullptr) const;
+  /// The shard scan behind every single-term aggregate, traced as span
+  /// `span`: fills each shard's rows through `fill`, then accumulates
+  /// every kernel's estimate (and variance, when options_.with_variance)
+  /// over them. The first refused fill, in shard order, is returned.
+  Result<ShardPartials> ScanShards(
+      const char* span, const std::vector<const EstimatorKernel*>& kernels,
+      const RowFill& fill) const;
+
+  /// One interval per kernel of a ScanShards result: the shard-order
+  /// reduction's Interval() on a full store, DegradeFromPartials on a
+  /// degraded one (noted under `query`). Every interval's width is
+  /// observed.
+  std::vector<IntervalEstimate> FinishIntervals(
+      const char* query, const ShardPartials& partials) const;
 
   /// Cluster-sampling extrapolation for degraded snapshots. `est`/`var`
   /// hold one per-shard (estimate, variance) partial per store shard, in
@@ -175,11 +167,9 @@ class QueryService {
   IntervalEstimate DegradeInterval(const std::vector<double>& est,
                                    const std::vector<double>& var) const;
 
-  /// DegradeInterval over kernel `k`'s column of a per-shard accumulator
-  /// matrix (as produced by ScanMaxPair/ScanOrUnion).
+  /// DegradeInterval over one kernel's per-shard accumulators.
   IntervalEstimate DegradeFromPartials(
-      const std::vector<std::vector<AccuracyAccumulator>>& partials,
-      size_t k) const;
+      const std::vector<AccuracyAccumulator>& shards) const;
 
   std::shared_ptr<const StoreSnapshot> snapshot_;
   QueryServiceOptions options_;

@@ -12,6 +12,13 @@ StreamingPpsSketch::StreamingPpsSketch(double tau, uint64_t salt)
   PIE_CHECK(tau > 0 && std::isfinite(tau));
 }
 
+StreamingPpsSketch StreamingPpsSketch::Build(
+    const std::vector<WeightedItem>& items, double tau, uint64_t salt) {
+  StreamingPpsSketch sketch(tau, salt);
+  for (const auto& item : items) sketch.Update(item.key, item.weight);
+  return sketch;
+}
+
 StreamingPpsSketch StreamingPpsSketch::FromParts(
     double tau, uint64_t salt, std::vector<WeightedItem> entries,
     uint64_t num_updates) {
@@ -37,7 +44,7 @@ void StreamingPpsSketch::Merge(const StreamingPpsSketch& other) {
   for (const auto& e : other.entries_) {
     auto it = index_.find(e.key);
     if (it != index_.end()) {
-      entries_[it->second].weight += e.weight;
+      Accumulate(&entries_[it->second].weight, e.weight);
     } else {
       index_.emplace(e.key, entries_.size());
       entries_.push_back(e);

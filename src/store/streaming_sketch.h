@@ -2,7 +2,7 @@
 // primitives (the classic bottom-k / priority-sampling regime of the
 // Cohen-Kaplan coordinated-sketch line).
 //
-// The batch builders (PpsInstanceSketch::Build, BottomKSample) consume a
+// The batch builders (StreamingPpsSketch::Build, BottomKSample) consume a
 // fully materialized std::vector<WeightedItem>; a live service cannot
 // afford that dump. Both samplers are permutation-invariant functions of
 // the item set -- PPS inclusion tests each key against a fixed seed-derived
@@ -20,7 +20,10 @@
 // repeat arrival of a previously rejected key is tested on its own weight
 // -- exact PPS of the aggregated totals therefore requires each key's
 // total to arrive in one record, or its first record to already clear the
-// threshold.
+// threshold. A repeat arrival (or a merged-in entry) whose sum with the
+// stored weight would not be finite leaves the stored weight unchanged:
+// like an unsampleable weight it is counted in num_updates but never
+// stored, so a finite stream can never store +inf.
 
 #pragma once
 
@@ -44,12 +47,16 @@ inline bool IsSampleableWeight(double weight) {
 }
 
 /// Incremental Poisson PPS sketch of one instance: key h is included iff
-/// v(h) >= u(h) * tau, i.e. with probability min(1, v(h)/tau). Produces
-/// the same sample set as PpsInstanceSketch::Build on any arrival order
-/// (Build is a thin wrapper over this class).
+/// v(h) >= u(h) * tau, i.e. with probability min(1, v(h)/tau). Feeding the
+/// same records in any arrival order yields the same sample set.
 class StreamingPpsSketch {
  public:
   StreamingPpsSketch(double tau, uint64_t salt);
+
+  /// The sketch of `items` with threshold `tau` and seed salt `salt`: one
+  /// Update per item, in order.
+  static StreamingPpsSketch Build(const std::vector<WeightedItem>& items,
+                                  double tau, uint64_t salt);
 
   /// Rebuilds a sketch from persisted state (persist/format.cc): the
   /// entries land in `entries_` in the given order -- which a round-trip
@@ -63,14 +70,14 @@ class StreamingPpsSketch {
                                       uint64_t num_updates);
 
   /// Offers one (key, weight) record. Weights that fail
-  /// IsSampleableWeight are never sampled (sparse representation) but
-  /// still count toward num_updates().
+  /// IsSampleableWeight, and repeats that would overflow the stored
+  /// weight, are never stored but still count toward num_updates().
   void Update(uint64_t key, double weight) {
     ++num_updates_;
     if (!IsSampleableWeight(weight)) return;
     auto it = index_.find(key);
     if (it != index_.end()) {
-      entries_[it->second].weight += weight;  // sampled keys stay sampled
+      Accumulate(&entries_[it->second].weight, weight);  // stays sampled
       return;
     }
     if (weight >= seed_fn_(key) * tau_) {
@@ -113,9 +120,8 @@ class StreamingPpsSketch {
     double sum = 0.0;
     for (const auto& e : entries_) {
       if (pred(e.key)) {
-        // Same expression as PpsInstanceSketch::SubsetSumEstimate, so the
-        // store and materialized-sketch paths agree bitwise (w/(w/tau)
-        // differs from a plain max(w, tau) by an ulp for many pairs).
+        // w / p with p = min(1, w/tau), kept in this form: the shortcut
+        // max(w, tau) differs from it by an ulp for many pairs.
         sum += e.weight / std::fmin(1.0, e.weight / tau_);
       }
     }
@@ -123,6 +129,12 @@ class StreamingPpsSketch {
   }
 
  private:
+  /// Adds `weight` to a stored weight unless the sum would overflow.
+  static void Accumulate(double* stored, double weight) {
+    const double sum = *stored + weight;
+    if (std::isfinite(sum)) *stored = sum;
+  }
+
   double tau_;
   SeedFunction seed_fn_;
   std::vector<WeightedItem> entries_;

@@ -25,7 +25,6 @@
 #include "accuracy/confidence.h"
 #include "accuracy/selector.h"
 #include "aggregate/distinct.h"
-#include "aggregate/dominance.h"
 #include "core/ht.h"
 #include "core/max_oblivious.h"
 #include "core/max_weighted.h"
@@ -701,25 +700,6 @@ TEST(SelectedScanTest, DistinctAutoEstimateBeatsHtVariance) {
         DistinctLEstimate(
             DistinctClassification{40, 10, 12, 8, 6}, 0.3, 0.25)));
   }
-}
-
-TEST(SelectedScanTest, OfflineMaxDominanceAutoMatchesDualL) {
-  Rng rng(41);
-  std::vector<WeightedItem> items1, items2;
-  for (uint64_t key = 1; key <= 1500; ++key) {
-    const double w = std::ceil(30.0 / (1 + rng.UniformInt(10)));
-    items1.push_back({key, w});
-    if (key % 3 != 0) {
-      items2.push_back({key, std::ceil(30.0 / (1 + rng.UniformInt(10)))});
-    }
-  }
-  const auto s1 = PpsInstanceSketch::Build(items1, 25.0, 1001);
-  const auto s2 = PpsInstanceSketch::Build(items2, 25.0, 2002);
-  const auto auto_est = EstimateMaxDominanceAuto(s1, s2);
-  ASSERT_TRUE(auto_est.ok()) << auto_est.status().ToString();
-  EXPECT_EQ(auto_est->spec.family, Family::kL);  // L dominates HT (Sec 5.2)
-  const auto dual = EstimateMaxDominance(s1, s2);
-  EXPECT_TRUE(BitwiseEqual(auto_est->estimate, dual.l));
 }
 
 // ---------------------------------------------------------------------------

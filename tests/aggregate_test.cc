@@ -11,7 +11,10 @@
 #include "aggregate/sample_size.h"
 #include "aggregate/sketch.h"
 #include "core/functions.h"
+#include "engine/engine.h"
 #include "gtest/gtest.h"
+#include "store/pps_rows.h"
+#include "store/streaming_sketch.h"
 #include "util/random.h"
 #include "util/stats.h"
 #include "workload/sets.h"
@@ -85,7 +88,7 @@ TEST(DatasetTest, SetOverwrites) {
 }
 
 // ---------------------------------------------------------------------------
-// PpsInstanceSketch
+// PPS sketches and their union rows
 // ---------------------------------------------------------------------------
 
 std::vector<WeightedItem> ZipfishItems(int n, Rng& rng) {
@@ -101,7 +104,7 @@ TEST(SketchTest, InclusionMatchesSeedRule) {
   Rng rng(3);
   const auto items = ZipfishItems(200, rng);
   const double tau = 50.0;
-  const auto sketch = PpsInstanceSketch::Build(items, tau, /*salt=*/9);
+  const auto sketch = StreamingPpsSketch::Build(items, tau, /*salt=*/9);
   const SeedFunction seed(9);
   std::set<uint64_t> in_sketch;
   for (const auto& e : sketch.entries()) in_sketch.insert(e.key);
@@ -209,54 +212,49 @@ TEST(SketchTest, SubsetSumUnbiased) {
   }
   RunningStat stat;
   for (uint64_t salt = 1; salt <= 20000; ++salt) {
-    const auto sketch = PpsInstanceSketch::Build(items, 120.0, salt * 2654435761ULL);
+    const auto sketch = StreamingPpsSketch::Build(items, 120.0, salt * 2654435761ULL);
     stat.Add(sketch.SubsetSumEstimate(pred));
   }
   EXPECT_NEAR(stat.mean(), truth, 4 * stat.standard_error());
 }
 
-TEST(SketchTest, PairOutcomeReusesCapacityAcrossCalls) {
-  Rng rng(13);
-  const auto items = ZipfishItems(50, rng);
-  const auto s1 = PpsInstanceSketch::Build(items, 40.0, 100);
-  const auto s2 = PpsInstanceSketch::Build(items, 60.0, 200);
-
-  PpsOutcome out;
-  MakePairOutcomeInto(s1, s2, items[0].key, &out);
-  const size_t tau_cap = out.tau.capacity();
-  const size_t seed_cap = out.seed.capacity();
-  const size_t sampled_cap = out.sampled.capacity();
-  const size_t value_cap = out.value.capacity();
-
-  // Steady state: refilling the same slot for any key reuses the inner
-  // vectors' capacity -- no per-key allocation on batched scans.
-  for (const auto& item : items) {
-    MakePairOutcomeInto(s1, s2, item.key, &out);
-    EXPECT_EQ(out.tau.capacity(), tau_cap);
-    EXPECT_EQ(out.seed.capacity(), seed_cap);
-    EXPECT_EQ(out.sampled.capacity(), sampled_cap);
-    EXPECT_EQ(out.value.capacity(), value_cap);
-    // And the payload is fully overwritten each time.
-    EXPECT_EQ(out.seed[0], s1.seed_fn()(item.key));
-    EXPECT_EQ(out.seed[1], s2.seed_fn()(item.key));
-    double v = 0.0;
-    EXPECT_EQ(out.sampled[0] != 0, s1.Lookup(item.key, &v));
-  }
-}
-
 TEST(SketchTest, PairOutcomeAssembly) {
-  const std::vector<WeightedItem> items1 = {{1, 5.0}, {2, 3.0}};
-  const std::vector<WeightedItem> items2 = {{1, 2.0}};
-  const auto s1 = PpsInstanceSketch::Build(items1, 6.0, 100);
-  const auto s2 = PpsInstanceSketch::Build(items2, 6.0, 200);
-  const auto outcome = MakePairOutcome(s1, s2, 1);
-  EXPECT_EQ(outcome.tau[0], 6.0);
-  EXPECT_EQ(outcome.seed[0], SeedFunction(100)(1));
-  EXPECT_EQ(outcome.seed[1], SeedFunction(200)(1));
-  // Key 1 in sketch 1 iff 5 >= u*6.
-  EXPECT_EQ(outcome.sampled[0] != 0, 5.0 >= SeedFunction(100)(1) * 6.0);
-  if (outcome.sampled[0]) {
-    EXPECT_EQ(outcome.value[0], 5.0);
+  const std::vector<WeightedItem> items1 = {{1, 5.0}, {2, 3.0}, {3, 9.0}};
+  const std::vector<WeightedItem> items2 = {{1, 2.0}, {4, 8.0}};
+  const double tau = 6.0;
+  const auto s1 = StreamingPpsSketch::Build(items1, tau, 100);
+  const auto s2 = StreamingPpsSketch::Build(items2, tau, 200);
+  const SeedFunction u1(100);
+  const SeedFunction u2(200);
+  // Rows: s1's sampled keys in arrival order, then s2's that s1 lacks.
+  std::vector<uint64_t> keys;
+  for (const auto& item : items1) {
+    if (item.weight >= u1(item.key) * tau) keys.push_back(item.key);
+  }
+  for (const auto& item : items2) {
+    if (item.weight >= u2(item.key) * tau &&
+        !s1.Lookup(item.key, nullptr)) {
+      keys.push_back(item.key);
+    }
+  }
+  ASSERT_GE(keys.size(), 2u);  // keys 3 and 4 clear any threshold
+
+  OutcomeBatch batch;
+  BuildPairUnion(PpsSource::Of(s1), PpsSource::Of(s2), &batch);
+  ASSERT_EQ(batch.size(), static_cast<int>(keys.size()));
+  Outcome o;
+  for (int i = 0; i < batch.size(); ++i) {
+    const uint64_t key = keys[static_cast<size_t>(i)];
+    ExtractRow(batch.view(), i, &o);
+    EXPECT_EQ(o.pps.tau, (std::vector<double>{tau, tau}));
+    EXPECT_EQ(o.pps.seed[0], u1(key));
+    EXPECT_EQ(o.pps.seed[1], u2(key));
+    double v1 = 0.0;
+    double v2 = 0.0;
+    EXPECT_EQ(o.pps.sampled[0] != 0, s1.Lookup(key, &v1)) << key;
+    EXPECT_EQ(o.pps.sampled[1] != 0, s2.Lookup(key, &v2)) << key;
+    EXPECT_EQ(o.pps.value[0], v1);
+    EXPECT_EQ(o.pps.value[1], v2);
   }
 }
 
@@ -364,30 +362,6 @@ MultiInstanceData SmallTwoInstanceData(Rng& rng, int keys) {
   return data;
 }
 
-TEST(DominanceTest, PredicateOverloadsAgreeOnAllKeys) {
-  // Every "no predicate" call shape must produce the all-keys scan: the
-  // 2-arg overload, a null std::function in every value category (which
-  // must route to the null-checking wrapper, not the Pred template), and
-  // an always-true lambda through the template.
-  Rng rng(29);
-  const auto data = SmallTwoInstanceData(rng, 50);
-  const auto s1 = PpsInstanceSketch::Build(data.InstanceItems(0), 25.0, 7);
-  const auto s2 = PpsInstanceSketch::Build(data.InstanceItems(1), 25.0, 8);
-  const auto all = EstimateMaxDominance(s1, s2);
-  std::function<bool(uint64_t)> null_pred;  // empty: selects all keys
-  const auto via_lvalue = EstimateMaxDominance(s1, s2, null_pred);
-  const auto via_rvalue = EstimateMaxDominance(
-      s1, s2, std::function<bool(uint64_t)>());
-  const auto via_lambda =
-      EstimateMaxDominance(s1, s2, [](uint64_t) { return true; });
-  EXPECT_EQ(all.l, via_lvalue.l);
-  EXPECT_EQ(all.l, via_rvalue.l);
-  EXPECT_EQ(all.l, via_lambda.l);
-  EXPECT_EQ(all.ht, via_lvalue.ht);
-  EXPECT_EQ(EstimateMinDominanceHt(s1, s2),
-            EstimateMinDominanceHt(s1, s2, null_pred));
-}
-
 TEST(DominanceTest, MaxDominanceUnbiasedOverSalts) {
   Rng rng(13);
   const auto data = SmallTwoInstanceData(rng, 60);
@@ -395,10 +369,10 @@ TEST(DominanceTest, MaxDominanceUnbiasedOverSalts) {
   const double tau = 30.0;
   RunningStat ht, l;
   for (uint64_t trial = 0; trial < 8000; ++trial) {
-    const auto s1 = PpsInstanceSketch::Build(data.InstanceItems(0), tau,
-                                             Mix64(2 * trial + 1));
-    const auto s2 = PpsInstanceSketch::Build(data.InstanceItems(1), tau,
-                                             Mix64(2 * trial + 2));
+    const auto s1 = StreamingPpsSketch::Build(data.InstanceItems(0), tau,
+                                              Mix64(2 * trial + 1));
+    const auto s2 = StreamingPpsSketch::Build(data.InstanceItems(1), tau,
+                                              Mix64(2 * trial + 2));
     const auto est = EstimateMaxDominance(s1, s2);
     ht.Add(est.ht);
     l.Add(est.l);
@@ -415,10 +389,10 @@ TEST(DominanceTest, AnalyticVarianceMatchesMonteCarlo) {
   const auto analytic = AnalyticMaxDominanceVariance(data, tau, tau);
   RunningStat ht, l;
   for (uint64_t trial = 0; trial < 20000; ++trial) {
-    const auto s1 = PpsInstanceSketch::Build(data.InstanceItems(0), tau,
-                                             Mix64(3 * trial + 1));
-    const auto s2 = PpsInstanceSketch::Build(data.InstanceItems(1), tau,
-                                             Mix64(3 * trial + 2));
+    const auto s1 = StreamingPpsSketch::Build(data.InstanceItems(0), tau,
+                                              Mix64(3 * trial + 1));
+    const auto s2 = StreamingPpsSketch::Build(data.InstanceItems(1), tau,
+                                              Mix64(3 * trial + 2));
     const auto est = EstimateMaxDominance(s1, s2);
     ht.Add(est.ht);
     l.Add(est.l);
@@ -434,10 +408,10 @@ TEST(DominanceTest, MinDominanceUnbiased) {
   const double truth = data.SumAggregate(MinOf);
   RunningStat stat;
   for (uint64_t trial = 0; trial < 12000; ++trial) {
-    const auto s1 = PpsInstanceSketch::Build(data.InstanceItems(0), 20.0,
-                                             Mix64(5 * trial + 1));
-    const auto s2 = PpsInstanceSketch::Build(data.InstanceItems(1), 20.0,
-                                             Mix64(5 * trial + 2));
+    const auto s1 = StreamingPpsSketch::Build(data.InstanceItems(0), 20.0,
+                                              Mix64(5 * trial + 1));
+    const auto s2 = StreamingPpsSketch::Build(data.InstanceItems(1), 20.0,
+                                              Mix64(5 * trial + 2));
     stat.Add(EstimateMinDominanceHt(s1, s2));
   }
   EXPECT_NEAR(stat.mean(), truth, 4 * stat.standard_error());
@@ -451,10 +425,10 @@ TEST(DominanceTest, L1DistanceUnbiased) {
   });
   RunningStat stat;
   for (uint64_t trial = 0; trial < 12000; ++trial) {
-    const auto s1 = PpsInstanceSketch::Build(data.InstanceItems(0), 20.0,
-                                             Mix64(7 * trial + 1));
-    const auto s2 = PpsInstanceSketch::Build(data.InstanceItems(1), 20.0,
-                                             Mix64(7 * trial + 2));
+    const auto s1 = StreamingPpsSketch::Build(data.InstanceItems(0), 20.0,
+                                              Mix64(7 * trial + 1));
+    const auto s2 = StreamingPpsSketch::Build(data.InstanceItems(1), 20.0,
+                                              Mix64(7 * trial + 2));
     stat.Add(EstimateL1Distance(s1, s2));
   }
   EXPECT_NEAR(stat.mean(), truth, 4 * stat.standard_error());
@@ -464,8 +438,8 @@ TEST(DominanceTest, FullySampledIsExact) {
   // tau below every value: both sketches exact, estimates equal the truth.
   Rng rng(29);
   const auto data = SmallTwoInstanceData(rng, 30);
-  const auto s1 = PpsInstanceSketch::Build(data.InstanceItems(0), 0.5, 1);
-  const auto s2 = PpsInstanceSketch::Build(data.InstanceItems(1), 0.5, 2);
+  const auto s1 = StreamingPpsSketch::Build(data.InstanceItems(0), 0.5, 1);
+  const auto s2 = StreamingPpsSketch::Build(data.InstanceItems(1), 0.5, 2);
   const auto est = EstimateMaxDominance(s1, s2);
   EXPECT_NEAR(est.ht, data.SumAggregate(MaxOf), 1e-9);
   EXPECT_NEAR(est.l, data.SumAggregate(MaxOf), 1e-9);

@@ -10,8 +10,11 @@
 
 #include "aggregate/distinct.h"
 #include "aggregate/sketch.h"
+#include "engine/engine.h"
 #include "gtest/gtest.h"
 #include "sampling/bottomk.h"
+#include "store/pps_rows.h"
+#include "store/streaming_sketch.h"
 #include "util/hashing.h"
 #include "util/random.h"
 
@@ -50,8 +53,8 @@ TEST(CoordinationTest, DistinctSaltsGiveDifferentSeeds) {
 
 TEST(CoordinationTest, PpsSketchBuildIsReproducible) {
   const auto items = MakeItems(20000, 42);
-  const auto s1 = PpsInstanceSketch::Build(items, /*tau=*/40.0, /*salt=*/7);
-  const auto s2 = PpsInstanceSketch::Build(items, /*tau=*/40.0, /*salt=*/7);
+  const auto s1 = StreamingPpsSketch::Build(items, /*tau=*/40.0, /*salt=*/7);
+  const auto s2 = StreamingPpsSketch::Build(items, /*tau=*/40.0, /*salt=*/7);
   ASSERT_EQ(s1.size(), s2.size());
   for (int i = 0; i < s1.size(); ++i) {
     EXPECT_EQ(s1.entries()[static_cast<size_t>(i)].key,
@@ -65,8 +68,8 @@ TEST(CoordinationTest, SharedSaltCoordinatesPpsSamples) {
   // PRN method: with one shared salt, two instances with identical values
   // make identical inclusion decisions -- the samples coincide key for key.
   const auto items = MakeItems(20000, 43);
-  const auto s1 = PpsInstanceSketch::Build(items, 40.0, /*salt=*/99);
-  const auto s2 = PpsInstanceSketch::Build(items, 40.0, /*salt=*/99);
+  const auto s1 = StreamingPpsSketch::Build(items, 40.0, /*salt=*/99);
+  const auto s2 = StreamingPpsSketch::Build(items, 40.0, /*salt=*/99);
   for (const auto& e : s1.entries()) {
     double v = 0.0;
     EXPECT_TRUE(s2.Lookup(e.key, &v));
@@ -80,8 +83,8 @@ TEST(CoordinationTest, DistinctSaltsGiveIndependentPpsSamples) {
   const auto items = MakeItems(20000, 44);
   const auto tau = FindPpsTauForExpectedSize(items, 1000.0);
   ASSERT_TRUE(tau.ok());
-  const auto s1 = PpsInstanceSketch::Build(items, *tau, /*salt=*/501);
-  const auto s2 = PpsInstanceSketch::Build(items, *tau, /*salt=*/502);
+  const auto s1 = StreamingPpsSketch::Build(items, *tau, /*salt=*/501);
+  const auto s2 = StreamingPpsSketch::Build(items, *tau, /*salt=*/502);
   int overlap = 0;
   for (const auto& e : s1.entries()) {
     overlap += s2.Lookup(e.key, nullptr) ? 1 : 0;
@@ -112,21 +115,33 @@ TEST(CoordinationTest, SeedRoundTripClassifiesSelfSketchAsAllPresent) {
 }
 
 TEST(CoordinationTest, PairOutcomeSeedsMatchSeedFunctions) {
-  // The outcomes fed to the known-seeds estimators carry exactly the seeds
-  // the SeedFunction reproduces from the salt.
+  // The union rows fed to the known-seeds estimators carry exactly the
+  // seeds the SeedFunction reproduces from the salt.
   const auto items = MakeItems(1000, 45);
-  const auto s1 = PpsInstanceSketch::Build(items, 20.0, /*salt=*/11);
-  const auto s2 = PpsInstanceSketch::Build(items, 25.0, /*salt=*/12);
+  const auto s1 = StreamingPpsSketch::Build(items, 20.0, /*salt=*/11);
+  const auto s2 = StreamingPpsSketch::Build(items, 25.0, /*salt=*/12);
   const SeedFunction u1(11);
   const SeedFunction u2(12);
+  OutcomeBatch batch;
+  Outcome o;
+  int rows = 0;
   for (const auto& item : items) {
-    const PpsOutcome o = MakePairOutcome(s1, s2, item.key);
-    EXPECT_EQ(o.seed[0], u1(item.key));
-    EXPECT_EQ(o.seed[1], u2(item.key));
+    const bool in1 = item.weight >= u1(item.key) * s1.tau();
+    const bool in2 = item.weight >= u2(item.key) * s2.tau();
+    BuildPairUnion(PpsSource::Of(s1), PpsSource::Of(s2), &batch,
+                   [&item](uint64_t key) { return key == item.key; });
+    // A key gets a row iff some sketch sampled it.
+    ASSERT_EQ(batch.size(), in1 || in2 ? 1 : 0) << item.key;
+    if (batch.size() == 0) continue;
+    ++rows;
+    ExtractRow(batch.view(), 0, &o);
+    EXPECT_EQ(o.pps.seed[0], u1(item.key));
+    EXPECT_EQ(o.pps.seed[1], u2(item.key));
     // Build-time inclusion must equal the recomputed threshold event.
-    EXPECT_EQ(o.sampled[0] != 0, item.weight >= u1(item.key) * s1.tau());
-    EXPECT_EQ(o.sampled[1] != 0, item.weight >= u2(item.key) * s2.tau());
+    EXPECT_EQ(o.pps.sampled[0] != 0, in1);
+    EXPECT_EQ(o.pps.sampled[1] != 0, in2);
   }
+  EXPECT_GT(rows, 0);
 }
 
 TEST(CoordinationTest, BottomKSameSaltIsReproducible) {

@@ -292,9 +292,9 @@ TEST(EndToEndTest, MiniFigure7PipelineIsInternallyConsistent) {
   RunningStat ht, l;
   for (uint64_t trial = 0; trial < 3000; ++trial) {
     const auto s1 =
-        PpsInstanceSketch::Build(items1, *tau1, Mix64(2 * trial + 1));
+        StreamingPpsSketch::Build(items1, *tau1, Mix64(2 * trial + 1));
     const auto s2 =
-        PpsInstanceSketch::Build(items2, *tau2, Mix64(2 * trial + 2));
+        StreamingPpsSketch::Build(items2, *tau2, Mix64(2 * trial + 2));
     const auto est = EstimateMaxDominance(s1, s2);
     ht.Add(est.ht);
     l.Add(est.l);
@@ -345,8 +345,8 @@ TEST(EndToEndTest, LinearityOfSumAggregates) {
   params.distinct_total = 1200;
   params.flows_per_instance = 2e4;
   const auto data = GenerateTraffic(params);
-  const auto s1 = PpsInstanceSketch::Build(data.InstanceItems(0), 50.0, 11);
-  const auto s2 = PpsInstanceSketch::Build(data.InstanceItems(1), 50.0, 22);
+  const auto s1 = StreamingPpsSketch::Build(data.InstanceItems(0), 50.0, 11);
+  const auto s2 = StreamingPpsSketch::Build(data.InstanceItems(1), 50.0, 22);
   auto even = [](uint64_t k) { return k % 2 == 0; };
   auto odd = [](uint64_t k) { return k % 2 == 1; };
   const auto all = EstimateMaxDominance(s1, s2);

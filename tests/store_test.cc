@@ -15,7 +15,6 @@
 #include "aggregate/distinct.h"
 #include "aggregate/distinct_multi.h"
 #include "aggregate/dominance.h"
-#include "aggregate/sketch.h"
 #include "gtest/gtest.h"
 #include "sampling/bottomk.h"
 #include "store/query_service.h"
@@ -59,7 +58,7 @@ TEST(StreamingPpsTest, MatchesBatchBuildOnAnyPermutation) {
   const auto items = ZipfishItems(300, rng);
   const double tau = 40.0;
   const uint64_t salt = 9;
-  const auto batch = PpsInstanceSketch::Build(items, tau, salt);
+  const auto batch = StreamingPpsSketch::Build(items, tau, salt);
   std::vector<WeightedItem> batch_sorted(batch.entries());
   std::sort(batch_sorted.begin(), batch_sorted.end(),
             [](const WeightedItem& a, const WeightedItem& b) {
@@ -116,16 +115,22 @@ TEST(StreamingPpsTest, SampledKeyAccumulatesRepeats) {
   EXPECT_EQ(value, 107.0);
   EXPECT_EQ(stream.size(), 1);
   EXPECT_EQ(stream.num_updates(), 2u);
-}
 
-TEST(StreamingPpsTest, TemplatedSubsetSumMatchesSketchPath) {
-  Rng rng(11);
-  const auto items = ZipfishItems(200, rng);
-  StreamingPpsSketch stream(60.0, /*salt=*/13);
-  for (const auto& item : items) stream.Update(item.key, item.weight);
-  const auto view = PpsInstanceSketch::FromStreaming(stream);
-  auto pred = [](uint64_t key) { return key % 3 == 0; };
-  EXPECT_EQ(stream.SubsetSumEstimate(pred), view.SubsetSumEstimate(pred));
+  // A repeat whose sum would overflow is counted but leaves the stored
+  // weight unchanged, in Update and in Merge alike.
+  stream.Update(42, 1e308);
+  stream.Update(42, 1e308);
+  ASSERT_TRUE(stream.Lookup(42, &value));
+  EXPECT_EQ(value, 107.0 + 1e308);
+  EXPECT_EQ(stream.num_updates(), 4u);
+  StreamingPpsSketch a(10.0, /*salt=*/1);
+  StreamingPpsSketch b(10.0, /*salt=*/1);
+  a.Update(42, 1.5e308);
+  b.Update(42, 1.5e308);
+  a.Merge(b);
+  ASSERT_TRUE(a.Lookup(42, &value));
+  EXPECT_EQ(value, 1.5e308);
+  EXPECT_EQ(a.num_updates(), 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -260,9 +265,9 @@ TEST(SketchStoreTest, MaterializeMatchesDirectBuild) {
   EXPECT_EQ(snapshot->Instances(), std::vector<int>{2});
   EXPECT_EQ(snapshot->UpdateCount(2), items.size());
 
-  const auto materialized = MaterializeInstance(*snapshot, 2);
-  const auto direct = PpsInstanceSketch::Build(items, options.default_tau,
-                                               store.InstanceSalt(2));
+  const auto materialized = snapshot->MergedInstance(2);
+  const auto direct = StreamingPpsSketch::Build(items, options.default_tau,
+                                                store.InstanceSalt(2));
   ASSERT_EQ(materialized.size(), direct.size());
   for (const auto& e : direct.entries()) {
     double value = 0.0;
@@ -335,29 +340,48 @@ TEST(SketchStoreTest, NonFiniteWeightsAreCountedButNeverStored) {
     return store;
   };
   const auto clean = build();
-  const std::vector<uint64_t> want = AnswerBits(*clean);
   ASSERT_TRUE(clean->Snapshot()->MergedInstance(0).Lookup(8, nullptr));
   ASSERT_FALSE(clean->Snapshot()->MergedInstance(0).Lookup(5000, nullptr));
   const uint64_t clean_updates = clean->Snapshot()->UpdateCount(0);
 
   const double kNaN = std::numeric_limits<double>::quiet_NaN();
   const double kInf = std::numeric_limits<double>::infinity();
+  // Each input's last record must be dropped; the ones before it are kept.
+  // 1e308 is finite, but a second one overflows the key's stored weight.
+  const std::vector<std::vector<double>> inputs = {
+      {kNaN}, {kInf}, {-kInf}, {1e308, 1e308}};
   int round = 0;
-  for (const double weight : {kNaN, kInf, -kInf}) {
+  for (const auto& records : inputs) {
     // Key 8 is sampled; key 5000 is not in the store.
     for (const uint64_t key : {uint64_t{8}, uint64_t{5000}}) {
       for (const bool batched : {false, true}) {
         SCOPED_TRACE(::testing::Message()
-                     << "weight " << weight << " key " << key
+                     << "last weight " << records.back() << " of "
+                     << records.size() << ", key " << key
                      << (batched ? " UpdateBatch" : " Update"));
+        auto apply = [&](SketchStore* store, size_t count) {
+          std::vector<WeightedItem> batch;
+          for (size_t i = 0; i < count; ++i) {
+            if (batched) {
+              batch.push_back({key, records[i]});
+            } else {
+              store->Update(0, key, records[i]);
+            }
+          }
+          if (batched) store->UpdateBatch(0, batch);
+        };
+        auto kept = build();
+        apply(kept.get(), records.size() - 1);
+        const std::vector<uint64_t> want = AnswerBits(*kept);
         auto store = build();
-        if (batched) {
-          store->UpdateBatch(0, {{key, weight}});
-        } else {
-          store->Update(0, key, weight);
-        }
+        apply(store.get(), records.size());
         EXPECT_EQ(AnswerBits(*store), want);
-        EXPECT_EQ(store->Snapshot()->UpdateCount(0), clean_updates + 1);
+        EXPECT_EQ(store->Snapshot()->UpdateCount(0),
+                  clean_updates + records.size());
+        double stored = 0.0;
+        if (store->Snapshot()->MergedInstance(0).Lookup(key, &stored)) {
+          EXPECT_TRUE(std::isfinite(stored)) << stored;
+        }
 
         const std::string dir = testing::TempDir() + "/store_nonfinite_" +
                                 std::to_string(round++);
@@ -381,7 +405,7 @@ struct TwoInstanceStore {
   std::vector<WeightedItem> items1, items2;
 };
 
-TwoInstanceStore MakeTwoInstanceStore() {
+TwoInstanceStore MakeTwoInstanceStore(int num_shards = 8) {
   Rng rng(23);
   TwoInstanceStore out;
   // Overlapping universes with distinct weights per instance.
@@ -394,7 +418,7 @@ TwoInstanceStore MakeTwoInstanceStore() {
     if (!seen) items.push_back({key, weight});
   }
   SketchStoreOptions options;
-  options.num_shards = 8;
+  options.num_shards = num_shards;
   options.default_tau = 20.0;
   options.salt = 5150;
   out.store = std::make_shared<SketchStore>(options);
@@ -404,49 +428,72 @@ TwoInstanceStore MakeTwoInstanceStore() {
 }
 
 TEST(QueryServiceTest, MaxDominanceMatchesAggregatePath) {
-  const auto fixture = MakeTwoInstanceStore();
-  const auto snapshot = fixture.store->Snapshot();
-  QueryService service(snapshot, {/*num_threads=*/1});
-  const auto store_est = service.MaxDominance(0, 1);
-  ASSERT_TRUE(store_est.ok());
+  // On one shard the store and the offline scan build the same rows in the
+  // same order, so the answers agree bit for bit; across 8 shards the
+  // per-shard reduction reorders the sum.
+  for (const int num_shards : {8, 1}) {
+    SCOPED_TRACE(::testing::Message() << num_shards << " shards");
+    const auto fixture = MakeTwoInstanceStore(num_shards);
+    const auto snapshot = fixture.store->Snapshot();
+    QueryService service(snapshot, {/*num_threads=*/1});
+    const auto store_est = service.MaxDominance(0, 1);
+    ASSERT_TRUE(store_est.ok());
 
-  const auto s1 = MaterializeInstance(*snapshot, 0);
-  const auto s2 = MaterializeInstance(*snapshot, 1);
-  const auto direct = EstimateMaxDominance(s1, s2);
-  EXPECT_NEAR(store_est->ht.estimate, direct.ht, 1e-9 * std::fabs(direct.ht));
-  EXPECT_NEAR(store_est->l.estimate, direct.l, 1e-9 * std::fabs(direct.l));
+    const auto s1 = snapshot->MergedInstance(0);
+    const auto s2 = snapshot->MergedInstance(1);
+    const auto direct = EstimateMaxDominance(s1, s2);
+    if (num_shards == 1) {
+      EXPECT_EQ(store_est->ht.estimate, direct.ht);
+      EXPECT_EQ(store_est->l.estimate, direct.l);
+    } else {
+      EXPECT_NEAR(store_est->ht.estimate, direct.ht,
+                  1e-9 * std::fabs(direct.ht));
+      EXPECT_NEAR(store_est->l.estimate, direct.l,
+                  1e-9 * std::fabs(direct.l));
+    }
 
-  // A point-only scan (no second-moment pass) gives the same bits.
-  QueryServiceOptions point_only;
-  point_only.with_variance = false;
-  const auto point = QueryService(snapshot, point_only).MaxDominance(0, 1);
-  ASSERT_TRUE(point.ok());
-  EXPECT_EQ(point->ht.estimate, store_est->ht.estimate);
-  EXPECT_EQ(point->l.estimate, store_est->l.estimate);
+    // A point-only scan (no second-moment pass) gives the same bits.
+    QueryServiceOptions point_only;
+    point_only.with_variance = false;
+    const auto point = QueryService(snapshot, point_only).MaxDominance(0, 1);
+    ASSERT_TRUE(point.ok());
+    EXPECT_EQ(point->ht.estimate, store_est->ht.estimate);
+    EXPECT_EQ(point->l.estimate, store_est->l.estimate);
+  }
 }
 
 TEST(QueryServiceTest, MinAndL1MatchAggregatePath) {
-  const auto fixture = MakeTwoInstanceStore();
-  const auto snapshot = fixture.store->Snapshot();
-  QueryService service(snapshot, {/*num_threads=*/1});
-  const auto s1 = MaterializeInstance(*snapshot, 0);
-  const auto s2 = MaterializeInstance(*snapshot, 1);
+  for (const int num_shards : {8, 1}) {
+    SCOPED_TRACE(::testing::Message() << num_shards << " shards");
+    const auto fixture = MakeTwoInstanceStore(num_shards);
+    const auto snapshot = fixture.store->Snapshot();
+    QueryService service(snapshot, {/*num_threads=*/1});
+    const auto s1 = snapshot->MergedInstance(0);
+    const auto s2 = snapshot->MergedInstance(1);
+    QueryServiceOptions point_only;
+    point_only.with_variance = false;
 
-  const auto min_est = service.MinDominanceHt(0, 1);
-  ASSERT_TRUE(min_est.ok());
-  const double direct_min = EstimateMinDominanceHt(s1, s2);
-  EXPECT_NEAR(min_est->estimate, direct_min, 1e-9 * std::fabs(direct_min));
+    const double direct_min = EstimateMinDominanceHt(s1, s2);
+    for (const auto& options : {QueryServiceOptions{}, point_only}) {
+      const auto min_est = QueryService(snapshot, options).MinDominanceHt(0, 1);
+      ASSERT_TRUE(min_est.ok());
+      if (num_shards == 1) {
+        EXPECT_EQ(min_est->estimate, direct_min);
+      } else {
+        EXPECT_NEAR(min_est->estimate, direct_min,
+                    1e-9 * std::fabs(direct_min));
+      }
+    }
 
-  const auto l1_est = service.L1Distance(0, 1);
-  ASSERT_TRUE(l1_est.ok());
-  const double direct_l1 = EstimateL1Distance(s1, s2);
-  EXPECT_NEAR(l1_est->estimate, direct_l1, 1e-9 * std::fabs(direct_l1));
-  QueryServiceOptions point_only;
-  point_only.with_variance = false;
-  const auto l1_point = QueryService(snapshot, point_only).L1Distance(0, 1);
-  ASSERT_TRUE(l1_point.ok());
-  EXPECT_NEAR(l1_point->estimate, l1_est->estimate,
-              1e-12 * std::fabs(l1_est->estimate));
+    const auto l1_est = service.L1Distance(0, 1);
+    ASSERT_TRUE(l1_est.ok());
+    const double direct_l1 = EstimateL1Distance(s1, s2);
+    EXPECT_NEAR(l1_est->estimate, direct_l1, 1e-9 * std::fabs(direct_l1));
+    const auto l1_point = QueryService(snapshot, point_only).L1Distance(0, 1);
+    ASSERT_TRUE(l1_point.ok());
+    EXPECT_NEAR(l1_point->estimate, l1_est->estimate,
+                1e-12 * std::fabs(l1_est->estimate));
+  }
 }
 
 TEST(QueryServiceTest, ParallelScanIsBitwiseDeterministic) {
@@ -540,7 +587,7 @@ TEST(QueryServiceTest, SubsetSumMatchesMaterializedSketch) {
   const auto fixture = MakeTwoInstanceStore();
   const auto snapshot = fixture.store->Snapshot();
   QueryService service(snapshot);
-  const auto s1 = MaterializeInstance(*snapshot, 0);
+  const auto s1 = snapshot->MergedInstance(0);
   auto pred = [](uint64_t key) { return key % 5 != 0; };
   EXPECT_NEAR(service.SubsetSumHt(0, pred), s1.SubsetSumEstimate(pred),
               1e-9 * std::fabs(s1.SubsetSumEstimate(pred)));

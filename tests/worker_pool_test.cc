@@ -249,14 +249,6 @@ TEST(WorkerPoolTest, SkewedStoreQueriesAreThreadCountInvariant) {
     EXPECT_TRUE(BitwiseEqual(l1_many->estimate, l1_one->estimate));
     EXPECT_TRUE(BitwiseEqual(l1_many->variance, l1_one->variance));
   }
-
-  // Borrowed services honor num_threads now that scans run on the
-  // persistent pool; results stay bitwise identical either way.
-  const QueryService borrowed = QueryService::Borrowed(*snapshot, {8});
-  const auto max_borrowed = borrowed.MaxDominance(0, 1);
-  ASSERT_TRUE(max_borrowed.ok());
-  EXPECT_TRUE(BitwiseEqual(max_borrowed->l.estimate, max_one->l.estimate));
-  EXPECT_TRUE(BitwiseEqual(max_borrowed->ht.variance, max_one->ht.variance));
 }
 
 }  // namespace
