@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace pie {
 
@@ -22,10 +23,17 @@ void AccuracyAccumulator::AddBatchImpl(const EstimatorKernel& kernel,
   per_key_.Merge(partial.per_key);
 }
 
+namespace {
+
+/// sqrt(max(0, variance)), keeping NaN (fmax would turn it into 0).
+double StdErr(double variance) {
+  return std::isnan(variance) ? variance : std::sqrt(std::fmax(0.0, variance));
+}
+
+}  // namespace
+
 double DifferenceAccumulator::conservative_variance() const {
-  const double sd_x = std::sqrt(std::fmax(0.0, var_x_));
-  const double sd_y = std::sqrt(std::fmax(0.0, var_y_));
-  const double bound = sd_x + sd_y;
+  const double bound = StdErr(var_x_) + StdErr(var_y_);
   return bound * bound;
 }
 
@@ -37,8 +45,15 @@ double DifferenceAccumulator::clamped_variance() const {
   // where the joint estimate (a difference of unbiased terms) goes
   // negative: the interval collapses to zero width, matching the header
   // contract that variance lands in [0, conservative_variance()].
-  return std::fmax(0.0,
-                   std::fmin(joint_variance(), conservative_variance()));
+  const double joint = joint_variance();
+  const double bound = conservative_variance();
+  if (!std::isfinite(joint) || !std::isfinite(bound)) {
+    // An overflowed term leaves Var[X - Y] unknown; the clamps would turn
+    // it into a zero-width interval. Serve it non-finite instead, so
+    // MakeInterval widens the interval to the whole line.
+    return std::isnan(joint) ? joint : std::numeric_limits<double>::infinity();
+  }
+  return std::fmax(0.0, std::fmin(joint, bound));
 }
 
 }  // namespace pie

@@ -167,7 +167,9 @@ class DifferenceAccumulator {
   /// The pre-covariance upper bound (sd(X) + sd(Y))^2 on Var[X - Y].
   double conservative_variance() const;
   /// The variance Interval() serves: joint_variance() clamped into
-  /// [0, conservative_variance()].
+  /// [0, conservative_variance()] when both are finite; otherwise NaN (a
+  /// NaN joint variance) or +inf, which Interval() serves as an unbounded
+  /// interval.
   double clamped_variance() const;
 
   /// The difference with covariance-aware error bars (clamped_variance()).

@@ -1,6 +1,7 @@
 #include "accuracy/confidence.h"
 
 #include <cmath>
+#include <limits>
 
 #include "util/check.h"
 
@@ -84,6 +85,15 @@ IntervalEstimate MakeInterval(double estimate, double variance,
   IntervalEstimate out;
   out.estimate = estimate;
   out.variance = variance;
+  if (!std::isfinite(variance)) {
+    // An overflowed or NaN variance (a stored weight above ~1e154 squares
+    // to inf) leaves the error unknown: the interval is the whole line,
+    // never the zero-width one fmax(0, NaN) = 0 would claim.
+    out.std_err = std::numeric_limits<double>::infinity();
+    out.lo = -out.std_err;
+    out.hi = out.std_err;
+    return out;
+  }
   out.std_err = std::sqrt(std::fmax(0.0, variance));
   const double half = CriticalValue(policy) * out.std_err;
   out.lo = estimate - half;

@@ -35,9 +35,11 @@ struct IntervalEstimate {
   /// sd(X)+sd(Y) bound). May be slightly negative on unlucky samples (a
   /// difference of unbiased terms); the interval uses the clamped value.
   double variance = 0.0;
-  double std_err = 0.0;  ///< sqrt(max(0, variance))
-  double lo = 0.0;       ///< estimate - critical * std_err
-  double hi = 0.0;       ///< estimate + critical * std_err
+  /// sqrt(max(0, variance)); +inf, with lo = -inf and hi = +inf, when
+  /// the variance is not finite.
+  double std_err = 0.0;
+  double lo = 0.0;  ///< estimate - critical * std_err
+  double hi = 0.0;  ///< estimate + critical * std_err
   /// Fraction of store shards that backed this answer: 1.0 for a complete
   /// store; < 1 when a degraded-recovery snapshot answered by
   /// extrapolating around absent shards (QueryService widens the interval

@@ -17,6 +17,15 @@ void OutcomeBatch::Reset(Scheme scheme, int r) {
   size_ = 0;
 }
 
+void OutcomeBatch::Reserve(int rows) {
+  PIE_CHECK(r_ >= 1 && "Reset(scheme, r) must fix the layout first");
+  const size_t need = static_cast<size_t>(rows) * static_cast<size_t>(r_);
+  param_.reserve(need);
+  value_.reserve(need);
+  sampled_.reserve(need);
+  if (scheme_ == Scheme::kPps) seed_.reserve(need);
+}
+
 int OutcomeBatch::AppendRow() {
   PIE_CHECK(r_ >= 1 && "Reset(scheme, r) must fix the layout first");
   const size_t need =

@@ -58,6 +58,11 @@ class OutcomeBatch {
   /// Drops all rows, keeping layout and slab capacity.
   void Clear() { size_ = 0; }
 
+  /// Reserves slab capacity for `rows` rows of the current layout, so a
+  /// builder that knows an upper bound on its row count appends without
+  /// regrowing the slabs.
+  void Reserve(int rows);
+
   Scheme scheme() const { return scheme_; }
   int r() const { return r_; }
   int size() const { return size_; }

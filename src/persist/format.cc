@@ -133,9 +133,6 @@ Result<std::pair<int, StreamingPpsSketch>> DeserializePpsSketch(
   r->U64(&num_updates);
   if (!r->U64(&entry_count)) return Corrupt("truncated PPS block header");
   if (tag != kTagPps) return Corrupt("bad PPS block tag");
-  if (!(tau > 0) || !std::isfinite(tau)) {
-    return Corrupt("PPS block with invalid tau");
-  }
   // Bound the allocation by the bytes actually present: each entry needs
   // 16 slab bytes, so a corrupted count can never trigger a huge resize.
   if (entry_count > r->remaining() / 16) {
@@ -148,25 +145,14 @@ Result<std::pair<int, StreamingPpsSketch>> DeserializePpsSketch(
   if (!ReadSlabs(r, entry_count, &entries)) {
     return Corrupt("PPS slab truncated or CRC mismatch");
   }
-  // Sketch invariants, checked here with typed errors so corrupt (or
-  // crafted, CRC-fixed-up) files can never reach the PIE_CHECKs in
-  // FromParts: distinct keys, finite positive weights at or above each
-  // key's inclusion threshold.
-  const SeedFunction seed(salt);
-  std::unordered_set<uint64_t> keys;
-  keys.reserve(entries.size());
-  for (const auto& e : entries) {
-    if (!keys.insert(e.key).second) {
-      return Corrupt("PPS block with duplicate key");
-    }
-    if (!IsSampleableWeight(e.weight) || e.weight < seed(e.key) * tau) {
-      return Corrupt("PPS entry violates the inclusion invariant");
-    }
-  }
-  return std::make_pair(
-      static_cast<int>(instance),
-      StreamingPpsSketch::FromParts(tau, salt, std::move(entries),
-                                    num_updates));
+  // FromParts checks the sketch invariants (valid tau, distinct keys,
+  // finite positive weights at or above each key's inclusion threshold)
+  // while it builds the key index, so corrupt or crafted (CRC-fixed-up)
+  // blocks get a typed error.
+  auto sketch =
+      StreamingPpsSketch::FromParts(tau, salt, entries, num_updates);
+  if (!sketch.ok()) return Corrupt(sketch.status().message());
+  return std::make_pair(static_cast<int>(instance), std::move(*sketch));
 }
 
 void SerializeBottomkSketch(const StreamingBottomkSketch& sketch,

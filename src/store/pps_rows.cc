@@ -6,6 +6,11 @@ Status BuildUnitUnion(const std::vector<PpsSource>& sources,
                       OutcomeBatch* batch) {
   const int r = static_cast<int>(sources.size());
   batch->Reset(Scheme::kPps, r);
+  int rows = 0;
+  for (const PpsSource& source : sources) {
+    if (source.sketch != nullptr) rows += source.sketch->size();
+  }
+  batch->Reserve(rows);
   auto holds = [&](int j, uint64_t key) {
     const StreamingPpsSketch* sketch = sources[static_cast<size_t>(j)].sketch;
     return sketch != nullptr && sketch->Lookup(key, nullptr);

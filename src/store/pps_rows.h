@@ -12,6 +12,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -52,6 +53,8 @@ template <typename Pred = AllKeys>
 void BuildPairUnion(const PpsSource& a, const PpsSource& b,
                     OutcomeBatch* batch, const Pred& pred = {}) {
   batch->Reset(Scheme::kPps, 2);
+  batch->Reserve((a.sketch != nullptr ? a.sketch->size() : 0) +
+                 (b.sketch != nullptr ? b.sketch->size() : 0));
   auto append = [&](uint64_t key, bool in_a, double v_a, bool in_b,
                     double v_b) {
     const int i = batch->AppendRow();
@@ -94,6 +97,7 @@ void BuildPairIntersection(const PpsSource& a, const PpsSource& b,
                            OutcomeBatch* batch, const Pred& pred = {}) {
   batch->Reset(Scheme::kPps, 2);
   if (a.sketch == nullptr || b.sketch == nullptr) return;
+  batch->Reserve(std::min(a.sketch->size(), b.sketch->size()));
   for (const auto& e : a.sketch->entries()) {
     if (!pred(e.key)) continue;
     double v_b = 0.0;

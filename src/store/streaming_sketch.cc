@@ -1,15 +1,24 @@
 #include "store/streaming_sketch.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "util/check.h"
 
 namespace pie {
 
+namespace {
+
+// The smallest index table; Find needs at least one empty position.
+constexpr size_t kMinIndexSize = 8;
+
+}  // namespace
+
 StreamingPpsSketch::StreamingPpsSketch(double tau, uint64_t salt)
     : tau_(tau), seed_fn_(salt) {
   PIE_CHECK(tau > 0 && std::isfinite(tau));
+  Reserve(0);
 }
 
 StreamingPpsSketch StreamingPpsSketch::Build(
@@ -19,20 +28,43 @@ StreamingPpsSketch StreamingPpsSketch::Build(
   return sketch;
 }
 
-StreamingPpsSketch StreamingPpsSketch::FromParts(
-    double tau, uint64_t salt, std::vector<WeightedItem> entries,
+Result<StreamingPpsSketch> StreamingPpsSketch::FromParts(
+    double tau, uint64_t salt, const std::vector<WeightedItem>& entries,
     uint64_t num_updates) {
-  StreamingPpsSketch sketch(tau, salt);
-  sketch.index_.reserve(entries.size());
-  for (size_t i = 0; i < entries.size(); ++i) {
-    PIE_CHECK(entries[i].weight >= sketch.seed_fn_(entries[i].key) * tau &&
-              "entry violates the PPS inclusion invariant");
-    const bool inserted = sketch.index_.emplace(entries[i].key, i).second;
-    PIE_CHECK(inserted && "duplicate key in persisted entries");
+  if (!(tau > 0) || !std::isfinite(tau)) {
+    return Status::InvalidArgument("PPS sketch with invalid tau");
   }
-  sketch.entries_ = std::move(entries);
+  StreamingPpsSketch sketch(tau, salt);
+  sketch.entries_.reserve(entries.size());
+  sketch.Reserve(entries.size());
+  for (const auto& e : entries) {
+    if (!IsSampleableWeight(e.weight) ||
+        e.weight < sketch.seed_fn_(e.key) * tau) {
+      return Status::InvalidArgument(
+          "PPS entry violates the inclusion invariant");
+    }
+    const size_t pos = sketch.Find(e.key);
+    if (sketch.index_[pos] != 0) {
+      return Status::InvalidArgument("duplicate key in PPS entries");
+    }
+    sketch.Insert(pos, e);
+  }
   sketch.num_updates_ = num_updates;
   return sketch;
+}
+
+void StreamingPpsSketch::Reserve(size_t count) {
+  size_t size = index_.empty() ? kMinIndexSize : index_.size();
+  while (size < 2 * count) size *= 2;
+  if (size == index_.size()) return;
+  // Positions hold slot + 1 in a uint32_t, so at most 2^31 entries.
+  PIE_CHECK(size <= (size_t{1} << 32) && "PPS sketch index overflow");
+  index_.assign(size, 0);
+  shift_ = 64 - std::countr_zero(size);
+  // Keys are distinct, so Find stops at an empty position for each.
+  for (size_t i = 0; i < entries_.size(); ++i) {
+    index_[Find(entries_[i].key)] = static_cast<uint32_t>(i + 1);
+  }
 }
 
 void StreamingPpsSketch::Merge(const StreamingPpsSketch& other) {
@@ -41,13 +73,13 @@ void StreamingPpsSketch::Merge(const StreamingPpsSketch& other) {
   // Replaying the other stream's sampled entries is exact: its rejected
   // records would be rejected here too (same seeds, same tau), and its
   // sampled ones arrive with their accumulated weights.
+  Reserve(entries_.size() + other.entries_.size());
   for (const auto& e : other.entries_) {
-    auto it = index_.find(e.key);
-    if (it != index_.end()) {
-      Accumulate(&entries_[it->second].weight, e.weight);
+    const size_t pos = Find(e.key);
+    if (index_[pos] != 0) {
+      Accumulate(&entries_[index_[pos] - 1].weight, e.weight);
     } else {
-      index_.emplace(e.key, entries_.size());
-      entries_.push_back(e);
+      Insert(pos, e);
     }
   }
   num_updates_ += other.num_updates_;

@@ -29,12 +29,12 @@
 
 #include <cmath>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "sampling/bottomk.h"
 #include "sampling/rank.h"
 #include "util/hashing.h"
+#include "util/status.h"
 
 namespace pie {
 
@@ -49,6 +49,16 @@ inline bool IsSampleableWeight(double weight) {
 /// Incremental Poisson PPS sketch of one instance: key h is included iff
 /// v(h) >= u(h) * tau, i.e. with probability min(1, v(h)/tau). Feeding the
 /// same records in any arrival order yields the same sample set.
+///
+/// Storage is two flat vectors: the sampled entries in arrival order, and
+/// an open-addressing key index over them -- a power-of-two table of
+/// entry slot + 1 (0 = empty), at most half full, probed linearly from the
+/// top bits of Mix64(key) (the store routes keys to shards by
+/// Mix64(key) % num_shards, so the low bits are shared by a shard's keys).
+/// A lookup is one hash and, typically, one or two adjacent table reads; a
+/// copy of the sketch (a store snapshot copies every dirty shard's
+/// sketches) is two contiguous vector copies, 24-32 bytes per sampled key,
+/// with no per-key allocation.
 class StreamingPpsSketch {
  public:
   StreamingPpsSketch(double tau, uint64_t salt);
@@ -61,13 +71,14 @@ class StreamingPpsSketch {
   /// Rebuilds a sketch from persisted state (persist/format.cc): the
   /// entries land in `entries_` in the given order -- which a round-trip
   /// makes the original arrival order, keeping serialization bitwise --
-  /// and the key index is rebuilt. Keys must be distinct; every weight
-  /// must satisfy the inclusion invariant weight >= seed(key) * tau
-  /// (callers validate untrusted input *before* this, returning a typed
-  /// error; here violations are programming errors and PIE_CHECK).
-  static StreamingPpsSketch FromParts(double tau, uint64_t salt,
-                                      std::vector<WeightedItem> entries,
-                                      uint64_t num_updates);
+  /// and the key index is built in the same pass that validates them.
+  /// InvalidArgument unless tau is finite and positive, the keys are
+  /// distinct, and every weight is sampleable and satisfies the inclusion
+  /// invariant weight >= seed(key) * tau -- so untrusted input gets a
+  /// typed error, never a PIE_CHECK.
+  static Result<StreamingPpsSketch> FromParts(
+      double tau, uint64_t salt, const std::vector<WeightedItem>& entries,
+      uint64_t num_updates);
 
   /// Offers one (key, weight) record. Weights that fail
   /// IsSampleableWeight, and repeats that would overflow the stored
@@ -75,15 +86,12 @@ class StreamingPpsSketch {
   void Update(uint64_t key, double weight) {
     ++num_updates_;
     if (!IsSampleableWeight(weight)) return;
-    auto it = index_.find(key);
-    if (it != index_.end()) {
-      Accumulate(&entries_[it->second].weight, weight);  // stays sampled
+    const size_t pos = Find(key);
+    if (index_[pos] != 0) {
+      Accumulate(&entries_[index_[pos] - 1].weight, weight);  // stays sampled
       return;
     }
-    if (weight >= seed_fn_(key) * tau_) {
-      index_.emplace(key, entries_.size());
-      entries_.push_back({key, weight});
-    }
+    if (weight >= seed_fn_(key) * tau_) Insert(pos, {key, weight});
   }
 
   /// Folds `other` in as if its records had been appended to this stream.
@@ -106,9 +114,9 @@ class StreamingPpsSketch {
 
   /// True + value if the key is in the sketch.
   bool Lookup(uint64_t key, double* value) const {
-    auto it = index_.find(key);
-    if (it == index_.end()) return false;
-    if (value != nullptr) *value = entries_[it->second].weight;
+    const uint32_t slot = index_[Find(key)];
+    if (slot == 0) return false;
+    if (value != nullptr) *value = entries_[slot - 1].weight;
     return true;
   }
 
@@ -135,10 +143,34 @@ class StreamingPpsSketch {
     if (std::isfinite(sum)) *stored = sum;
   }
 
+  /// The index position holding `key`, or else the empty position where
+  /// Insert would put it.
+  size_t Find(uint64_t key) const {
+    const size_t mask = index_.size() - 1;
+    size_t pos = static_cast<size_t>(Mix64(key) >> shift_);
+    while (index_[pos] != 0 && entries_[index_[pos] - 1].key != key) {
+      pos = (pos + 1) & mask;
+    }
+    return pos;
+  }
+
+  /// Appends `item` (whose key Find placed at the empty position `pos`) to
+  /// the entries and the index, growing the index past half full.
+  void Insert(size_t pos, const WeightedItem& item) {
+    entries_.push_back(item);
+    index_[pos] = static_cast<uint32_t>(entries_.size());
+    if (2 * entries_.size() > index_.size()) Reserve(entries_.size());
+  }
+
+  /// Grows the index, if needed, to hold `count` entries at most half
+  /// full, re-placing the current entries.
+  void Reserve(size_t count);
+
   double tau_;
   SeedFunction seed_fn_;
   std::vector<WeightedItem> entries_;
-  std::unordered_map<uint64_t, size_t> index_;  // key -> entries_ slot
+  std::vector<uint32_t> index_;  // entries_ slot + 1 per position; 0 = empty
+  int shift_ = 0;                // 64 - log2(index_.size())
   uint64_t num_updates_ = 0;
 };
 

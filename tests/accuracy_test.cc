@@ -18,6 +18,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -288,6 +289,22 @@ TEST(ConfidenceTest, CriticalValuesAndIntervalAssembly) {
   EXPECT_EQ(clamped.lo, 3.0);
   EXPECT_EQ(clamped.hi, 3.0);
   EXPECT_EQ(clamped.variance, -0.5);  // raw value preserved for diagnostics
+}
+
+TEST(ConfidenceTest, NonFiniteVarianceServesAnUnboundedInterval) {
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  for (const double variance : {kNaN, kInf, -kInf}) {
+    const IntervalEstimate interval = MakeInterval(3.0, variance);
+    EXPECT_EQ(interval.estimate, 3.0);
+    EXPECT_EQ(std::isnan(interval.variance), std::isnan(variance));
+    if (!std::isnan(variance)) {
+      EXPECT_EQ(interval.variance, variance);
+    }
+    EXPECT_EQ(interval.std_err, kInf);
+    EXPECT_EQ(interval.lo, -kInf);
+    EXPECT_EQ(interval.hi, kInf);
+  }
 }
 
 TEST(ConfidenceTest, CriticalValueMemoIsBitwiseTransparent) {

@@ -16,6 +16,8 @@
 #include "aggregate/distinct_multi.h"
 #include "aggregate/dominance.h"
 #include "gtest/gtest.h"
+#include "persist/format.h"
+#include "persist/wire.h"
 #include "sampling/bottomk.h"
 #include "store/query_service.h"
 #include "store/sketch_store.h"
@@ -131,6 +133,226 @@ TEST(StreamingPpsTest, SampledKeyAccumulatesRepeats) {
   ASSERT_TRUE(a.Lookup(42, &value));
   EXPECT_EQ(value, 1.5e308);
   EXPECT_EQ(a.num_updates(), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// StreamingPpsSketch key index
+// ---------------------------------------------------------------------------
+
+/// The first `count` keys k >= 1 that a `num_shards`-way store routes to
+/// shard 0 (Mix64(k) % num_shards == 0): keys whose hashes share their low
+/// bits.
+std::vector<uint64_t> ShardZeroKeys(size_t count, uint64_t num_shards) {
+  std::vector<uint64_t> keys;
+  for (uint64_t key = 1; keys.size() < count; ++key) {
+    if (Mix64(key) % num_shards == 0) keys.push_back(key);
+  }
+  return keys;
+}
+
+/// Feeds keys[0, n) one at a time (every weight clears tau, so each is
+/// sampled) and, on both sides of every index growth (the entry count
+/// passing a power of two), checks that each stored key looks up its
+/// weight and that keys[n, n + 64) and `absent` miss.
+void ExpectIndexHoldsEveryKey(const std::vector<uint64_t>& keys, size_t n,
+                              const std::vector<uint64_t>& absent) {
+  StreamingPpsSketch sketch(/*tau=*/1.0, /*salt=*/5);
+  auto weight_of = [](size_t i) { return 2.0 + static_cast<double>(i % 7); };
+  for (size_t i = 0; i < n; ++i) {
+    sketch.Update(keys[i], weight_of(i));
+    const size_t count = i + 1;
+    if (!std::has_single_bit(count) && !std::has_single_bit(count - 1) &&
+        count != n) {
+      continue;
+    }
+    ASSERT_EQ(sketch.size(), static_cast<int>(count));
+    for (size_t j = 0; j < count; ++j) {
+      double value = 0.0;
+      ASSERT_TRUE(sketch.Lookup(keys[j], &value)) << j << " of " << count;
+      ASSERT_EQ(value, weight_of(j)) << j << " of " << count;
+    }
+    for (size_t j = count; j < std::min(count + 64, keys.size()); ++j) {
+      ASSERT_FALSE(sketch.Lookup(keys[j], nullptr)) << j << " of " << count;
+    }
+    for (const uint64_t key : absent) {
+      ASSERT_FALSE(sketch.Lookup(key, nullptr)) << key << " at " << count;
+    }
+  }
+}
+
+TEST(StreamingPpsIndexTest, SequentialKeysAcrossEveryGrowth) {
+  const size_t n = 100000;
+  std::vector<uint64_t> keys(n + 64);
+  for (size_t i = 0; i < keys.size(); ++i) keys[i] = i + 1;
+  ExpectIndexHoldsEveryKey(keys, n,
+                           {0, n + 1000, uint64_t{1} << 40, ~uint64_t{0}});
+}
+
+TEST(StreamingPpsIndexTest, KeysOfOneStoreShardAcrossEveryGrowth) {
+  // The store's 8-way routing fixes the low 3 bits of Mix64 for all of a
+  // shard's keys; the index must not probe from those bits.
+  const size_t n = 100000;
+  const std::vector<uint64_t> keys = ShardZeroKeys(n + 64 + 4, 8);
+  const std::vector<uint64_t> absent(keys.end() - 4, keys.end());
+  ExpectIndexHoldsEveryKey(keys, n, absent);
+}
+
+TEST(StreamingPpsIndexTest, CopyKeepsItsAnswersWhileTheOriginalGrows) {
+  StreamingPpsSketch original(/*tau=*/1.0, /*salt=*/3);
+  for (uint64_t key = 1; key <= 1000; ++key) original.Update(key, 5.0);
+  const StreamingPpsSketch copy = original;
+  const std::vector<WeightedItem> want = copy.entries();
+  // New keys force several index growths in the original; repeats
+  // accumulate into its stored weights.
+  for (uint64_t key = 1001; key <= 20000; ++key) original.Update(key, 5.0);
+  for (uint64_t key = 1; key <= 1000; ++key) original.Update(key, 1.0);
+
+  ASSERT_EQ(copy.entries().size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(copy.entries()[i].key, want[i].key);
+    EXPECT_EQ(copy.entries()[i].weight, want[i].weight);
+  }
+  for (uint64_t key = 1; key <= 1000; ++key) {
+    double value = 0.0;
+    ASSERT_TRUE(copy.Lookup(key, &value)) << key;
+    EXPECT_EQ(value, 5.0);
+    ASSERT_TRUE(original.Lookup(key, &value)) << key;
+    EXPECT_EQ(value, 6.0);
+  }
+  for (uint64_t key = 1001; key <= 20000; key += 97) {
+    EXPECT_FALSE(copy.Lookup(key, nullptr)) << key;
+    EXPECT_TRUE(original.Lookup(key, nullptr)) << key;
+  }
+  EXPECT_EQ(copy.num_updates(), 1000u);
+
+  // The copy's own index keeps absorbing independently.
+  StreamingPpsSketch grown = copy;
+  for (uint64_t key = 1; key <= 20000; ++key) grown.Update(key, 1.0);
+  double value = 0.0;
+  ASSERT_TRUE(grown.Lookup(1, &value));
+  EXPECT_EQ(value, 6.0);
+  ASSERT_TRUE(copy.Lookup(1, &value));
+  EXPECT_EQ(value, 5.0);
+}
+
+TEST(StreamingPpsIndexTest, MergeAcrossIndexGrowthMatchesDirect) {
+  Rng rng(29);
+  const auto items = ZipfishItems(30000, rng);
+  const double tau = 20.0;
+  const uint64_t salt = 41;
+  const auto direct = StreamingPpsSketch::Build(items, tau, salt);
+  ASSERT_GT(direct.size(), 1000);
+  // A small sketch absorbs a large one (its index grows inside Merge),
+  // then more small parts: the concatenated streams' sketch, entry for
+  // entry in arrival order.
+  for (const size_t split : {size_t{0}, size_t{3}, size_t{100}, size_t{29000}}) {
+    SCOPED_TRACE(split);
+    StreamingPpsSketch merged = StreamingPpsSketch::Build(
+        {items.begin(), items.begin() + static_cast<long>(split)}, tau, salt);
+    const size_t second = std::min(items.size(), split + 20000);
+    merged.Merge(StreamingPpsSketch::Build(
+        {items.begin() + static_cast<long>(split),
+         items.begin() + static_cast<long>(second)},
+        tau, salt));
+    for (size_t from = second; from < items.size(); from += 50) {
+      const size_t to = std::min(items.size(), from + 50);
+      merged.Merge(StreamingPpsSketch::Build(
+          {items.begin() + static_cast<long>(from),
+           items.begin() + static_cast<long>(to)},
+          tau, salt));
+    }
+    ASSERT_EQ(merged.entries().size(), direct.entries().size());
+    for (size_t i = 0; i < direct.entries().size(); ++i) {
+      EXPECT_EQ(merged.entries()[i].key, direct.entries()[i].key);
+      EXPECT_EQ(merged.entries()[i].weight, direct.entries()[i].weight);
+    }
+    EXPECT_EQ(merged.num_updates(), direct.num_updates());
+    for (const auto& item : items) {
+      double got = 0.0, want = 0.0;
+      const bool in = direct.Lookup(item.key, &want);
+      ASSERT_EQ(merged.Lookup(item.key, &got), in) << item.key;
+      if (in) {
+        EXPECT_EQ(got, want);
+      }
+    }
+  }
+}
+
+/// One PPS wire block over arbitrary (possibly invalid) entries, with
+/// valid framing and slab CRCs, as a crafted file would carry.
+std::string CraftedPpsBlock(double tau, uint64_t salt,
+                            const std::vector<WeightedItem>& entries) {
+  persist::WireWriter w;
+  w.U32(persist::kTagPps);
+  w.I32(0);
+  w.F64(tau);
+  w.U64(salt);
+  w.U64(entries.size());  // num_updates
+  w.U64(entries.size());
+  size_t from = w.size();
+  for (const auto& e : entries) w.U64(e.key);
+  w.U32(w.CrcSince(from));
+  from = w.size();
+  for (const auto& e : entries) w.F64(e.weight);
+  w.U32(w.CrcSince(from));
+  return w.buffer();
+}
+
+TEST(StreamingPpsIndexTest, InvalidPartsAreTypedErrors) {
+  const double tau = 10.0;
+  const uint64_t salt = 4;
+  StreamingPpsSketch sketch(tau, salt);
+  for (uint64_t key = 1; key <= 50; ++key) sketch.Update(key, 20.0);
+  const std::vector<WeightedItem> valid = sketch.entries();
+  const SeedFunction seed(salt);
+  // A key whose inclusion threshold seed * tau exceeds 1, with weight
+  // half of it: below the threshold, so no valid sketch can hold it.
+  uint64_t low_key = 1000;
+  while (seed(low_key) * tau <= 1.0) ++low_key;
+  const double low_weight = seed(low_key) * tau / 2;
+
+  auto with = [&valid](WeightedItem extra) {
+    std::vector<WeightedItem> entries = valid;
+    entries.insert(entries.begin() + 20, extra);
+    return entries;
+  };
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<std::vector<WeightedItem>> invalid = {
+      with(valid[7]),           // duplicate key
+      with(valid.back()),       // duplicate of a later key
+      with({low_key, low_weight}),
+      with({2000, kNaN}),
+      with({2000, kInf}),
+      with({2000, 0.0}),
+      with({2000, -20.0})};
+
+  auto ok = StreamingPpsSketch::FromParts(tau, salt, valid, 50);
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok->size(), 50);
+  for (const auto& entries : invalid) {
+    auto built = StreamingPpsSketch::FromParts(tau, salt, entries, 51);
+    ASSERT_FALSE(built.ok());
+    EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
+
+    const std::string block = CraftedPpsBlock(tau, salt, entries);
+    persist::WireReader r(block);
+    auto decoded = persist::DeserializePpsSketch(&r);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss)
+        << decoded.status().ToString();
+  }
+  for (const double bad_tau : {0.0, -1.0, kNaN, kInf}) {
+    auto built = StreamingPpsSketch::FromParts(bad_tau, salt, valid, 50);
+    ASSERT_FALSE(built.ok());
+    EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
+  }
+  // The crafted framing itself decodes clean on valid entries.
+  const std::string block = CraftedPpsBlock(tau, salt, valid);
+  persist::WireReader r(block);
+  auto decoded = persist::DeserializePpsSketch(&r);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->second.size(), 50);
 }
 
 // ---------------------------------------------------------------------------
@@ -378,6 +600,22 @@ TEST(SketchStoreTest, NonFiniteWeightsAreCountedButNeverStored) {
         EXPECT_EQ(AnswerBits(*store), want);
         EXPECT_EQ(store->Snapshot()->UpdateCount(0),
                   clean_updates + records.size());
+        if (records.size() == 2) {
+          // The stored 1e308 overflows its key's variance estimate: the
+          // interval must be unbounded, never a zero-width one around
+          // the estimate.
+          const QueryService service(store->Snapshot(), {/*num_threads=*/1});
+          const auto max_est = service.MaxDominance(0, 1);
+          const auto l1_est = service.L1Distance(0, 1);
+          ASSERT_TRUE(max_est.ok() && l1_est.ok());
+          for (const IntervalEstimate& interval :
+               {max_est->ht, max_est->l, *l1_est}) {
+            EXPECT_TRUE(std::isnan(interval.variance)) << interval.variance;
+            EXPECT_EQ(interval.std_err, kInf);
+            EXPECT_EQ(interval.lo, -kInf);
+            EXPECT_EQ(interval.hi, kInf);
+          }
+        }
         double stored = 0.0;
         if (store->Snapshot()->MergedInstance(0).Lookup(key, &stored)) {
           EXPECT_TRUE(std::isfinite(stored)) << stored;
